@@ -116,22 +116,26 @@ class CountTable:
         raise KeyError(f"no row for n={n}, k={k}")
 
 
-def _iter_all(n: int) -> Iterator[Perm]:
+def all_perms(n: int) -> Iterator[Perm]:
+    """Every permutation of size n, in lexicographic order."""
     return itertools.permutations(range(1, n + 1))
 
 
-def _scan(
-    perms: Iterable[Perm],
-    avoid: tuple[PatternSpec, ...],
-    symmetry: Optional[SymmetryClass],
-    key: Optional[Callable[[Perm], int]],
-    shallow_filter: bool,
-) -> dict[Optional[int], int]:
+def _counts_for(n: int, query: CountQuery, method: Method) -> dict[Optional[int], int]:
+    if method is Method.BOTH:
+        brute = _counts_for(n, query, Method.BRUTE_FORCE)
+        constructive = _counts_for(n, query, Method.CONSTRUCTIVE)
+        if brute != constructive:
+            raise MethodDisagreement(n, brute, constructive)
+        return constructive
+    avoid, symmetry = query.avoid, query.symmetry
+    key = _REFINEMENTS[query.refine_by] if query.refine_by else None
+    brute_force = method is Method.BRUTE_FORCE
     counts: Counter = Counter()
-    for p in perms:
+    for p in all_perms(n) if brute_force else generate_shallow(n):
         if symmetry is not None and not is_in_class(p, symmetry):
             continue
-        if shallow_filter and not is_shallow(p):
+        if brute_force and not is_shallow(p):
             continue
         if avoid and not avoids(p, avoid):
             continue
@@ -139,13 +143,18 @@ def _scan(
     return dict(counts)
 
 
-def _counts_for(
-    n: int, query: CountQuery, method: Method
-) -> dict[Optional[int], int]:
-    key = _REFINEMENTS[query.refine_by] if query.refine_by else None
-    if method is Method.BRUTE_FORCE:
-        return _scan(_iter_all(n), query.avoid, query.symmetry, key, True)
-    return _scan(generate_shallow(n), query.avoid, query.symmetry, key, False)
+def _rows(
+    query: CountQuery,
+    keys: Callable[[int, dict[Optional[int], int]], Iterable[Optional[int]]],
+) -> tuple[CountRow, ...]:
+    """One timed enumeration pass per size, then a row per key (absent keys count 0)."""
+    rows: list[CountRow] = []
+    for n in query.sizes:
+        start = time.perf_counter()
+        counts = _counts_for(n, query, query.method)
+        elapsed = time.perf_counter() - start
+        rows.extend(CountRow(n, k, counts.get(k, 0), elapsed) for k in keys(n, counts))
+    return tuple(rows)
 
 
 def count(query: CountQuery, caps: Caps = DEFAULT_CAPS) -> CountTable:
@@ -167,23 +176,8 @@ def count(query: CountQuery, caps: Caps = DEFAULT_CAPS) -> CountTable:
         raise SizeCapExceeded(
             f"sizes {over} beyond the {query.method.value} cap {limit}"
         )
-    rows: list[CountRow] = []
-    for n in query.sizes:
-        start = time.perf_counter()
-        if query.method is Method.BOTH:
-            brute = _counts_for(n, query, Method.BRUTE_FORCE)
-            constructive = _counts_for(n, query, Method.CONSTRUCTIVE)
-            if brute != constructive:
-                raise MethodDisagreement(n, brute, constructive)
-            counts = constructive
-        else:
-            counts = _counts_for(n, query, query.method)
-        elapsed = time.perf_counter() - start
-        if not counts and query.refine_by is None:
-            counts = {None: 0}
-        for k in sorted(counts, key=lambda v: (v is not None, v)):
-            rows.append(CountRow(n=n, k=k, count=counts[k], elapsed=elapsed))
-    return CountTable(query=query, rows=tuple(rows), provenance=query.method)
+    rows = _rows(query, lambda n, counts: sorted(counts) if query.refine_by else (None,))
+    return CountTable(query=query, rows=rows, provenance=query.method)
 
 
 def descent_table(
@@ -201,14 +195,8 @@ def descent_table(
         refine_by="descents",
         method=Method.CONSTRUCTIVE,
     )
-    rows: list[CountRow] = []
-    for n in query.sizes:
-        start = time.perf_counter()
-        counts = _counts_for(n, query, Method.CONSTRUCTIVE)
-        elapsed = time.perf_counter() - start
-        for k in range(n):
-            rows.append(CountRow(n=n, k=k, count=counts.get(k, 0), elapsed=elapsed))
-    return CountTable(query=query, rows=tuple(rows), provenance=Method.CONSTRUCTIVE)
+    rows = _rows(query, lambda n, counts: range(n))
+    return CountTable(query=query, rows=rows, provenance=Method.CONSTRUCTIVE)
 
 
 # ---------------------------------------------------------------------------
@@ -217,12 +205,17 @@ def descent_table(
 
 @dataclass(frozen=True)
 class VerificationPair:
+    """One checked value against its oracle; a finding row leaves both None."""
+
     label: str
-    n: Optional[int]
-    k: Optional[int]
-    table_value: Optional[int]
-    oracle_value: Optional[int]
-    match: bool
+    n: Optional[int] = None
+    table_value: Optional[int] = None
+    oracle_value: Optional[int] = None
+    k: Optional[int] = None
+
+    @property
+    def match(self) -> bool:
+        return self.table_value == self.oracle_value
 
 
 @dataclass(frozen=True)
@@ -252,67 +245,37 @@ def verify(table: CountTable, oracle: str) -> VerificationReport:
     if not sizes:
         return report_from_pairs(())
     refined = any(row.k is not None for row in table.rows)
-    pairs: list[VerificationPair] = []
     if oracle in series.CATALOG:
         expansion = series.catalog(oracle, max(sizes))
-        if isinstance(expansion, series.RationalSeries):
-            if refined:
-                raise OracleDomainError(
-                    f"{oracle} is univariate but the table is refined"
-                )
-            for row in table.rows:
-                expected = int(series.coefficient(expansion, row.n))
-                pairs.append(
-                    VerificationPair(
-                        label=f"{oracle}[{row.n}]",
-                        n=row.n,
-                        k=None,
-                        table_value=row.count,
-                        oracle_value=expected,
-                        match=row.count == expected,
-                    )
-                )
-        else:
+        if not isinstance(expansion, series.RationalSeries):
             if not refined:
                 raise OracleDomainError(
                     f"{oracle} is bivariate but the table is unrefined"
                 )
             observed = {(row.n, row.k): row.count for row in table.rows}
-            for n in sizes:
-                for k in range(n + 1):
-                    expected = expansion.value(n, k)
-                    got = observed.get((n, k), 0)
-                    pairs.append(
-                        VerificationPair(
-                            label=f"{oracle}[{n},{k}]",
-                            n=n,
-                            k=k,
-                            table_value=got,
-                            oracle_value=expected,
-                            match=got == expected,
-                        )
-                    )
+            return report_from_pairs(
+                VerificationPair(
+                    f"{oracle}[{n},{k}]", n, observed.get((n, k), 0), expansion.value(n, k), k
+                )
+                for n in sizes
+                for k in range(n + 1)
+            )
+        if refined:
+            raise OracleDomainError(f"{oracle} is univariate but the table is refined")
+        expected = lambda n: int(series.coefficient(expansion, n))
     elif oracle in series._CLOSED_FORM_FUNCS:
         if refined:
             raise OracleDomainError(f"{oracle} is a plain count family")
-        for row in table.rows:
-            try:
-                expected = series.closed_form(oracle, row.n)
-            except series.OutOfDomain as exc:
-                raise OracleDomainError(str(exc)) from None
-            pairs.append(
-                VerificationPair(
-                    label=f"{oracle}[{row.n}]",
-                    n=row.n,
-                    k=None,
-                    table_value=row.count,
-                    oracle_value=expected,
-                    match=row.count == expected,
-                )
-            )
+        expected = lambda n: series.closed_form(oracle, n)
     else:
         raise OracleDomainError(f"unknown oracle {oracle!r}")
-    return report_from_pairs(pairs)
+    try:
+        return report_from_pairs(
+            VerificationPair(f"{oracle}[{row.n}]", row.n, row.count, expected(row.n))
+            for row in table.rows
+        )
+    except series.OutOfDomain as exc:
+        raise OracleDomainError(str(exc)) from None
 
 
 # ---------------------------------------------------------------------------
@@ -385,7 +348,7 @@ def search_mesh_counterexample(
         raise SizeCapExceeded(f"n_max {n_max} beyond brute-force cap {caps.brute_force}")
     both = (VALUE_ANCHORED_3412, POSITION_ANCHORED_3412)
     for n in range(1, n_max + 1):
-        for p in _iter_all(n):
+        for p in all_perms(n):
             if is_shallow(p):
                 continue
             if avoids(p, both):

@@ -13,6 +13,7 @@ accepted on input when every value is a single digit.
 from __future__ import annotations
 
 import re
+from bisect import bisect_right, insort
 from enum import Enum
 from typing import Iterable, NamedTuple, Sequence
 
@@ -53,12 +54,11 @@ def validate_permutation(word: Iterable[int]) -> Perm:
     for v in w:
         if not isinstance(v, int) or v < 1 or v > n:
             raise NotAPermutation(f"value {v!r} out of range 1..{n}")
-    if len(set(w)) != n:
-        seen: set[int] = set()
-        for v in w:
-            if v in seen:
-                raise NotAPermutation(f"duplicate value {v}")
-            seen.add(v)
+    seen: set[int] = set()
+    for v in w:
+        if v in seen:
+            raise NotAPermutation(f"duplicate value {v}")
+        seen.add(v)
     return w
 
 
@@ -140,43 +140,19 @@ def total_displacement(p: Perm) -> int:
 
 def inversion_count(p: Perm) -> int:
     """
-    Number of pairs i < j with p_i > p_j, counted by merge sort so the
-    cost stays O(n log n) inside enumeration loops.
+    Number of pairs i < j with p_i > p_j.
+
+    Each entry adds the number of earlier entries above it, found by
+    binary search in a sorted list of the entries seen so far.
 
     >>> inversion_count((3, 2, 1))
     3
     """
-    arr = list(p)
+    seen: list[int] = []
     total = 0
-    width = 1
-    n = len(arr)
-    while width < n:
-        for lo in range(0, n - width, 2 * width):
-            mid = lo + width
-            hi = min(mid + width, n)
-            left = arr[lo:mid]
-            right = arr[lo + width:hi]
-            i = j = 0
-            k = lo
-            nl = len(left)
-            while i < nl and j < len(right):
-                if left[i] <= right[j]:
-                    arr[k] = left[i]
-                    i += 1
-                else:
-                    arr[k] = right[j]
-                    j += 1
-                    total += nl - i
-                k += 1
-            while i < nl:
-                arr[k] = left[i]
-                i += 1
-                k += 1
-            while j < len(right):
-                arr[k] = right[j]
-                j += 1
-                k += 1
-        width *= 2
+    for i, v in enumerate(p):
+        total += i - bisect_right(seen, v)
+        insort(seen, v)
     return total
 
 

@@ -47,6 +47,31 @@ def achieves_upper_bound(p: Perm) -> bool:
     return total_displacement(p) == 2 * inversion_count(p)
 
 
+def _reduce(p: Perm) -> tuple[int, int | None, Perm]:
+    """
+    One right-operator step on a word of size >= 2: the 0-based slot of
+    the maximum, the value moved into it (None when the maximum was last),
+    and the smaller word.
+    """
+    n = len(p)
+    if p[-1] == n:
+        return n - 1, None, p[:-1]
+    j = p.index(n)
+    return j, p[-1], p[:j] + (p[-1],) + p[j + 1:-1]
+
+
+def _extend(t: Perm, i: int | None) -> Perm:
+    """
+    Undo one right-operator step with no slot check: the new maximum goes
+    to the 0-based slot i and the entry there moves to the end; with
+    i=None the new maximum is appended.
+    """
+    m = len(t) + 1
+    if i is None:
+        return t + (m,)
+    return t[:i] + (m,) + t[i + 1:] + (t[i],)
+
+
 def r_operator(p: Perm) -> Perm:
     """
     Remove the largest value from the right end of the word.
@@ -57,13 +82,9 @@ def r_operator(p: Perm) -> Perm:
     >>> r_operator((4, 2, 1, 6, 3, 5))
     (4, 2, 1, 5, 3)
     """
-    n = len(p)
-    if n < 2:
+    if len(p) < 2:
         raise SizeTooSmall("need at least 2 entries")
-    if p[-1] == n:
-        return p[:-1]
-    j = p.index(n)
-    return p[:j] + (p[-1],) + p[j + 1:-1]
+    return _reduce(p)[2]
 
 
 def l_operator(p: Perm) -> Perm:
@@ -132,15 +153,10 @@ def certify_shallow(p: Perm) -> ShallowCertificate:
     verdict = True
     current = p
     while len(current) >= 2:
-        m = len(current)
-        if current[-1] == m:
-            steps.append(ReductionStep(m, None, StepKind.APPENDED_MAX))
-            current = current[:-1]
-            continue
-        j = current.index(m)
-        moved = current[-1]
-        current = current[:j] + (moved,) + current[j + 1:-1]
-        if lr_max_flags(current)[j]:
+        j, moved, current = _reduce(current)
+        if moved is None:
+            kind = StepKind.APPENDED_MAX
+        elif lr_max_flags(current)[j]:
             kind = StepKind.LEFT_TO_RIGHT_MAX
         elif rl_min_flags(current)[j]:
             kind = StepKind.RIGHT_TO_LEFT_MIN
@@ -164,9 +180,8 @@ def extend_right(t: Perm, position: int | None = None) -> Perm:
     >>> extend_right((4, 2, 1, 5, 3), 4)
     (4, 2, 1, 6, 3, 5)
     """
-    m = len(t) + 1
     if position is None:
-        return t + (m,)
+        return _extend(t, None)
     if not 1 <= position <= len(t):
         raise IllegalSlot(f"position {position} outside 1..{len(t)}")
     i = position - 1
@@ -179,7 +194,7 @@ def extend_right(t: Perm, position: int | None = None) -> Perm:
             f"maximum ({larger_before} precedes it) nor a right-to-left "
             f"minimum ({smaller_after} follows it)"
         )
-    return t[:i] + (m,) + t[i + 1:] + (t[i],)
+    return _extend(t, i)
 
 
 def replay_certificate(cert: ShallowCertificate) -> Perm:
@@ -194,7 +209,7 @@ def replay_certificate(cert: ShallowCertificate) -> Perm:
     current: Perm = (1,) if size == 1 else ()
     for step in reversed(cert.steps):
         if step.classification is StepKind.APPENDED_MAX:
-            current = extend_right(current)
+            current = _extend(current, None)
             continue
         i = step.position_of_max - 1
         if current[i] != step.moved_value:
@@ -203,8 +218,7 @@ def replay_certificate(cert: ShallowCertificate) -> Perm:
                 f"{step.position_of_max}, found {current[i]}"
             )
         if step.classification is StepKind.VIOLATION:
-            m = len(current) + 1
-            current = current[:i] + (m,) + current[i + 1:] + (current[i],)
+            current = _extend(current, i)
         else:
             current = extend_right(current, step.position_of_max)
     return current
@@ -212,13 +226,12 @@ def replay_certificate(cert: ShallowCertificate) -> Perm:
 
 def _children(t: Perm) -> Iterator[Perm]:
     """All words one size larger that reduce to t, each exactly once."""
-    m = len(t) + 1
-    yield t + (m,)
+    yield _extend(t, None)
     lr = lr_max_flags(t)
     rl = rl_min_flags(t)
     for i in range(len(t)):
         if lr[i] or rl[i]:
-            yield t[:i] + (m,) + t[i + 1:] + (t[i],)
+            yield _extend(t, i)
 
 
 def generate_shallow(n: int) -> Iterator[Perm]:

@@ -11,7 +11,6 @@ the size-parametric checks, while hard enumeration caps still apply.
 from __future__ import annotations
 
 import dataclasses
-import itertools
 from typing import Callable, Iterable, Optional
 
 from . import series
@@ -22,6 +21,7 @@ from .enumeration import (
     Method,
     VerificationPair,
     VerificationReport,
+    all_perms,
     count,
     descent_table,
     profile,
@@ -95,27 +95,6 @@ def _relabel(pairs: Iterable[VerificationPair], prefix: str) -> list[Verificatio
     return [dataclasses.replace(p, label=f"{prefix} {p.label}") for p in pairs]
 
 
-def _property_pair(label: str, violations: int, n: Optional[int] = None) -> VerificationPair:
-    return VerificationPair(
-        label=label,
-        n=n,
-        k=None,
-        table_value=violations,
-        oracle_value=0,
-        match=violations == 0,
-    )
-
-
-def _finding_pair(label: str) -> VerificationPair:
-    return VerificationPair(
-        label=label, n=None, k=None, table_value=None, oracle_value=None, match=True
-    )
-
-
-def _all_perms(n: int):
-    return itertools.permutations(range(1, n + 1))
-
-
 # --------------------------------------------------------------------- table1
 
 
@@ -143,18 +122,15 @@ def check_table1(max_n: Optional[int], caps: Caps) -> list[VerificationPair]:
                 ),
                 caps,
             )
-            for row in table.rows:
-                expected = constructive[name][row.n]
-                pairs.append(
-                    VerificationPair(
-                        label=f"t_n({name}) brute vs constructive [{row.n}]",
-                        n=row.n,
-                        k=None,
-                        table_value=row.count,
-                        oracle_value=expected,
-                        match=row.count == expected,
-                    )
+            pairs.extend(
+                VerificationPair(
+                    f"t_n({name}) brute vs constructive [{row.n}]",
+                    row.n,
+                    row.count,
+                    constructive[name][row.n],
                 )
+                for row in table.rows
+            )
     return pairs
 
 
@@ -185,23 +161,13 @@ def check_grassmannian(max_n: Optional[int], caps: Caps) -> list[VerificationPai
         expected = series.binomial(n + 1, 3) + 1
         pairs.append(
             VerificationPair(
-                label=f"grassmannian via 321 descent table [{n}]",
-                n=n,
-                k=None,
-                table_value=by_n.get(n, 0),
-                oracle_value=expected,
-                match=by_n.get(n, 0) == expected,
+                f"grassmannian via 321 descent table [{n}]", n, by_n.get(n, 0), expected
             )
         )
         from_series = int(series.coefficient(expansion, n))
         pairs.append(
             VerificationPair(
-                label=f"Grassmannian series vs binomial formula [{n}]",
-                n=n,
-                k=None,
-                table_value=from_series,
-                oracle_value=expected,
-                match=from_series == expected,
+                f"Grassmannian series vs binomial formula [{n}]", n, from_series, expected
             )
         )
     return pairs
@@ -238,9 +204,9 @@ def check_decider_equivalence(max_n: Optional[int], caps: Caps) -> list[Verifica
     pairs = []
     for n in range(n_top + 1):
         bad = sum(
-            1 for p in _all_perms(n) if is_shallow(p) != certify_shallow(p).verdict
+            1 for p in all_perms(n) if is_shallow(p) != certify_shallow(p).verdict
         )
-        pairs.append(_property_pair(f"decider equivalence violations [{n}]", bad, n))
+        pairs.append(VerificationPair(f"decider equivalence violations [{n}]", n, bad, 0))
     return pairs
 
 
@@ -253,7 +219,7 @@ def check_symmetry_closure(max_n: Optional[int], caps: Caps) -> list[Verificatio
             for kind in SymmetryKind:
                 if not is_shallow(apply_symmetry(p, kind)):
                     bad += 1
-        pairs.append(_property_pair(f"symmetry closure violations [{n}]", bad, n))
+        pairs.append(VerificationPair(f"symmetry closure violations [{n}]", n, bad, 0))
     return pairs
 
 
@@ -267,7 +233,7 @@ def check_direct_sum_closure(max_n: Optional[int], caps: Caps) -> list[Verificat
                 for q in levels[b]:
                     if not is_shallow(direct_sum(p, q)):
                         bad += 1
-    return [_property_pair(f"direct-sum closure violations [|p|+|q|<={total}]", bad)]
+    return [VerificationPair(f"direct-sum closure violations [|p|+|q|<={total}]", None, bad, 0)]
 
 
 def check_wrap_equivalence(max_n: Optional[int], caps: Caps) -> list[VerificationPair]:
@@ -275,16 +241,16 @@ def check_wrap_equivalence(max_n: Optional[int], caps: Caps) -> list[Verificatio
     pairs = []
     for n in range(n_top + 1):
         bad = sum(
-            1 for p in _all_perms(n) if is_shallow(wrap_n1(p)) != is_shallow(p)
+            1 for p in all_perms(n) if is_shallow(wrap_n1(p)) != is_shallow(p)
         )
-        pairs.append(_property_pair(f"wrap equivalence violations [{n}]", bad, n))
+        pairs.append(VerificationPair(f"wrap equivalence violations [{n}]", n, bad, 0))
     return pairs
 
 
 def check_decreasing(max_n: Optional[int], caps: Caps) -> list[VerificationPair]:
-    n_top = 12 if max_n is None else max_n
+    n_top = _size(12, max_n, caps.constructive)
     bad = sum(1 for n in range(n_top + 1) if not is_shallow(decreasing(n)))
-    return [_property_pair(f"decreasing permutation not shallow [n<={n_top}]", bad)]
+    return [VerificationPair(f"decreasing permutation not shallow [n<={n_top}]", None, bad, 0)]
 
 
 def check_skew_families(max_n: Optional[int], caps: Caps) -> list[VerificationPair]:
@@ -303,7 +269,7 @@ def check_skew_families(max_n: Optional[int], caps: Caps) -> list[VerificationPa
         for j in rng:
             if not is_shallow(skew_sum(decreasing(i), direct_sum(decreasing(j), identity(1)))):
                 bad += 1
-    return [_property_pair(f"decreasing-block family violations [params<={top}]", bad)]
+    return [VerificationPair(f"decreasing-block family violations [params<={top}]", None, bad, 0)]
 
 
 def check_boolean_coincidence(max_n: Optional[int], caps: Caps) -> list[VerificationPair]:
@@ -313,14 +279,14 @@ def check_boolean_coincidence(max_n: Optional[int], caps: Caps) -> list[Verifica
     pairs = []
     for n in range(n_top + 1):
         bad = 0
-        for p in _all_perms(n):
+        for p in all_perms(n):
             no321 = avoids(p, (spec321,))
             a = is_shallow(p) and no321
             b = no321 and avoids(p, (spec3412,))
             c = is_shallow(p) and achieves_upper_bound(p)
             if not (a == b == c):
                 bad += 1
-        pairs.append(_property_pair(f"boolean coincidence violations [{n}]", bad, n))
+        pairs.append(VerificationPair(f"boolean coincidence violations [{n}]", n, bad, 0))
     return pairs
 
 
@@ -329,10 +295,10 @@ def check_descent_inverse(max_n: Optional[int], caps: Caps) -> list[Verification
     spec = PATTERNS["132"]
     bad = 0
     for n in range(n_top + 1):
-        for p in _all_perms(n):
+        for p in all_perms(n):
             if avoids(p, (spec,)) and descent_count(p) != descent_count(inverse(p)):
                 bad += 1
-    return [_property_pair(f"132 descent/inverse violations [n<={n_top}]", bad)]
+    return [VerificationPair(f"132 descent/inverse violations [n<={n_top}]", None, bad, 0)]
 
 
 def check_321_tail_structure(max_n: Optional[int], caps: Caps) -> list[VerificationPair]:
@@ -347,7 +313,7 @@ def check_321_tail_structure(max_n: Optional[int], caps: Caps) -> list[Verificat
             if j < n - 1:
                 if p[-1] != n - 1 or any(p[k - 1] != k - 1 for k in range(j + 2, n + 1)):
                     bad += 1
-    return [_property_pair(f"321 tail structure violations [n<={n_top}]", bad)]
+    return [VerificationPair(f"321 tail structure violations [n<={n_top}]", None, bad, 0)]
 
 
 def check_123_interior_count(max_n: Optional[int], caps: Caps) -> list[VerificationPair]:
@@ -362,14 +328,7 @@ def check_123_interior_count(max_n: Optional[int], caps: Caps) -> list[Verificat
         )
         expected = 2 * series.binomial(n - 1, 3) + (n - 1)
         pairs.append(
-            VerificationPair(
-                label=f"123 avoiders with interior extremes [{n}]",
-                n=n,
-                k=None,
-                table_value=got,
-                oracle_value=expected,
-                match=got == expected,
-            )
+            VerificationPair(f"123 avoiders with interior extremes [{n}]", n, got, expected)
         )
     return pairs
 
@@ -386,14 +345,7 @@ def check_leading_pair_231(max_n: Optional[int], caps: Caps) -> list[Verificatio
         )
         expected = series.closed_form("231_leading_pair", n)
         pairs.append(
-            VerificationPair(
-                label=f"231 avoiders led by top pair [{n}]",
-                n=n,
-                k=None,
-                table_value=got,
-                oracle_value=expected,
-                match=got == expected,
-            )
+            VerificationPair(f"231 avoiders led by top pair [{n}]", n, got, expected)
         )
     return pairs
 
@@ -407,7 +359,7 @@ def check_mesh_necessary(max_n: Optional[int], caps: Caps) -> list[VerificationP
     pairs = []
     for n in range(n_top + 1):
         bad = sum(1 for p in generate_shallow(n) if not avoids(p, both))
-        pairs.append(_property_pair(f"shallow anchored-3412 violations [{n}]", bad, n))
+        pairs.append(VerificationPair(f"shallow anchored-3412 violations [{n}]", n, bad, 0))
     return pairs
 
 
@@ -421,7 +373,7 @@ def check_mesh_counterexample(max_n: Optional[int], caps: Caps) -> list[Verifica
             f"mesh counterexample search (n <= {n_top}): witness "
             f"{format_permutation(witness)} self-verified"
         )
-    return [_finding_pair(label)]
+    return [VerificationPair(label)]
 
 
 # ---------------------------------------------------------------- exploratory
@@ -435,17 +387,10 @@ def check_profiles(max_n: Optional[int], caps: Caps) -> list[VerificationPair]:
         expected = series.fibonacci(2 * n - 1)
         for side, prof in (("132 side", pair.left), ("321 side", pair.right)):
             pairs.append(
-                VerificationPair(
-                    label=f"profile total {side} [{n}]",
-                    n=n,
-                    k=None,
-                    table_value=prof.total(),
-                    oracle_value=expected,
-                    match=prof.total() == expected,
-                )
+                VerificationPair(f"profile total {side} [{n}]", n, prof.total(), expected)
             )
         state = "consistent" if pair.consistent else "inconsistent"
-        pairs.append(_finding_pair(f"finding: joint statistic profiles {state} at n={n}"))
+        pairs.append(VerificationPair(f"finding: joint statistic profiles {state} at n={n}"))
     return pairs
 
 

@@ -1,7 +1,7 @@
 import itertools
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from shallowperm.perms import (
@@ -17,6 +17,7 @@ from shallowperm.perms import (
     format_permutation,
     identity,
     inverse,
+    inversion_count,
     is_in_class,
     is_permutation,
     parse_permutation,
@@ -86,6 +87,10 @@ class TestParsing:
         with pytest.raises(NotAPermutation, match="duplicate"):
             validate_permutation((2, 1, 2, 3))
 
+    def test_validate_reports_range_before_duplicate(self):
+        with pytest.raises(NotAPermutation, match="out of range"):
+            validate_permutation((2, 2, 4))
+
 
 class TestStatistics:
     def test_decreasing_three(self):
@@ -115,6 +120,16 @@ class TestStatistics:
                     if p[i] > p[j]
                 )
                 assert statistics(p).inversions == naive
+
+    @given(
+        st.integers(0, 30).flatmap(lambda n: st.permutations(range(1, n + 1))).map(tuple)
+    )
+    @example(())
+    @example((1,))
+    def test_inversion_count_matches_pair_count(self, p):
+        n = len(p)
+        pairs = sum(1 for i in range(n) for j in range(i + 1, n) if p[i] > p[j])
+        assert inversion_count(p) == pairs
 
     def test_diaconis_graham_bounds(self):
         # I + T <= D <= 2I, and D is even, for every permutation.

@@ -1,6 +1,8 @@
 import itertools
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from shallowperm.perms import (
     decreasing,
@@ -124,6 +126,16 @@ class TestCertificates:
         for n in range(7):
             for p in all_perms(n):
                 assert replay_certificate(certify_shallow(p)) == p
+
+    @given(
+        st.integers(0, 30).flatmap(lambda n: st.permutations(range(1, n + 1))).map(tuple)
+    )
+    @example((4, 2, 1, 6, 3, 5))
+    @example((3, 4, 1, 2))
+    def test_random_replay_and_verdict(self, p):
+        cert = certify_shallow(p)
+        assert replay_certificate(cert) == p
+        assert cert.verdict == is_shallow(p)
 
     def test_tie_break_prefers_lr_max(self):
         # In 12 the moved value 1 is both kinds of extreme.

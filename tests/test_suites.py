@@ -1,7 +1,9 @@
+import time
+
 import pytest
 
 from shallowperm.enumeration import Caps
-from shallowperm.suites import SUITES, check_table1, run_suite
+from shallowperm.suites import SUITES, check_decreasing, check_table1, run_suite
 
 
 def test_suite_names():
@@ -29,3 +31,11 @@ def test_mesh_suite_small():
     report = run_suite("mesh", max_n=5)
     assert report.overall
     assert any("witness" in p.label for p in report.pairs)
+
+
+def test_check_decreasing_clamps_to_constructive_cap():
+    start = time.perf_counter()
+    pairs = check_decreasing(10**6, Caps())
+    assert time.perf_counter() - start < 2.0
+    assert [p.label for p in pairs] == ["decreasing permutation not shallow [n<=12]"]
+    assert pairs[0].match
