@@ -21,6 +21,7 @@ from .patterns import (
     VALUE_ANCHORED_3412,
     PatternSpec,
     avoids,
+    find_occurrence,
 )
 from .perms import (
     Perm,
@@ -342,7 +343,8 @@ def search_mesh_counterexample(
     anchored 3412 patterns, or None if none exists up to n_max.
 
     Any witness is re-checked against both conditions before being
-    returned.
+    returned, through find_occurrence rather than the avoids kernels the
+    search used, so a fault in those kernels cannot confirm itself.
     """
     if n_max > caps.brute_force:
         raise SizeCapExceeded(f"n_max {n_max} beyond brute-force cap {caps.brute_force}")
@@ -352,7 +354,7 @@ def search_mesh_counterexample(
             if is_shallow(p):
                 continue
             if avoids(p, both):
-                if is_shallow(p) or not avoids(p, both):
+                if is_shallow(p) or any(find_occurrence(p, s) is not None for s in both):
                     raise RuntimeError(f"witness self-check failed for {p}")
                 return p
     return None

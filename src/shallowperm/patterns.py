@@ -10,15 +10,23 @@ two anchored specs used by the shallowness theory are
 * ``POSITION_ANCHORED_3412`` (text name ``u3412``): 3412 where the "3"
   must sit in the first position and the "2" in the last.
 
-Containment search is a brute-force scan over index tuples with early
-pruning. Witnesses are the lexicographically least index tuples, so
-outputs are reproducible.
+``avoids`` decides the eight specs the library ships in one linear pass
+each: 123 and 321 by a running-minimum scan, 132, 231, 213 and 312 by
+Knuth's stack-sorting scan (231-avoiders are the stack-sortable
+permutations), and ``3n12`` and ``u3412`` from their anchors. Every other
+spec (classical 3412, patterns of length at most 2, other anchors) goes to
+``find_occurrence``, a backtracking search over index tuples with early
+pruning. That search is also the witness API and the oracle the kernels
+are tested against. Witnesses are the lexicographically least index
+tuples, so outputs are reproducible.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Optional
+from functools import cached_property
+from operator import neg
+from typing import Callable, Iterable, Optional
 
 from .perms import Perm, parse_permutation, validate_permutation
 
@@ -63,6 +71,12 @@ class PatternSpec:
         for v, a in zip(self.pattern, self.anchors):
             parts.append(str(v) if a is None else f"{v}[{a.value}]")
         return " ".join(parts)
+
+    @cached_property
+    def _kernel(self) -> Optional[Callable[[Perm], bool]]:
+        """The linear-time avoidance test of this spec, if it has one.
+        Kept on the instance, so avoids need not hash the spec per call."""
+        return _KERNELS.get(self)
 
 
 def classical(pattern: Iterable[int]) -> PatternSpec:
@@ -184,6 +198,120 @@ def find_occurrence(host: Perm, spec: PatternSpec) -> Optional[tuple[int, ...]]:
     return search(0, 0)
 
 
+def _no_increasing_triple(seq, top: int) -> bool:
+    """
+    No a < b < c in increasing positions: track the smallest value so far
+    and the smallest value with a smaller one before it. Values lie below
+    top.
+    """
+    low = mid = top
+    for x in seq:
+        if x > mid:
+            return False
+        if x > low:
+            mid = x
+        else:
+            low = x
+    return True
+
+
+def _stack_sortable(seq, floor: int) -> bool:
+    """
+    No b, c, a in increasing positions with a < b < c: one pass of Knuth's
+    stack sort, failing when an entry falls below a value already popped.
+    Values lie above floor.
+    """
+    stack: list[int] = []
+    popped = floor
+    for x in seq:
+        if x < popped:
+            return False
+        while stack and stack[-1] < x:
+            popped = stack.pop()
+        stack.append(x)
+    return True
+
+
+# Reversing a word reverses its patterns; negating it complements them.
+def _avoids_123(p: Perm) -> bool:
+    return _no_increasing_triple(p, len(p) + 1)
+
+
+def _avoids_321(p: Perm) -> bool:
+    return _no_increasing_triple(reversed(p), len(p) + 1)
+
+
+def _avoids_231(p: Perm) -> bool:
+    return _stack_sortable(p, 0)
+
+
+def _avoids_132(p: Perm) -> bool:
+    return _stack_sortable(reversed(p), 0)
+
+
+def _avoids_213(p: Perm) -> bool:
+    return _stack_sortable(map(neg, p), -len(p) - 1)
+
+
+def _avoids_312(p: Perm) -> bool:
+    return _stack_sortable(map(neg, reversed(p)), -len(p) - 1)
+
+
+def _avoids_3n12(p: Perm) -> bool:
+    """Contained only when n precedes 1, neither at an end, and some entry
+    before n is larger than some entry after 1."""
+    n = len(p)
+    if n < 4:
+        return True
+    i = p.index(n)
+    j = p.index(1)
+    return not (0 < i < j < n - 1 and max(p[:i]) > min(p[j + 1:]))
+
+
+def _avoids_u3412(p: Perm) -> bool:
+    """Contained only when p_n < p_1 and an interior entry above p_1 comes
+    before a later interior entry below p_n."""
+    if len(p) < 4 or p[-1] > p[0]:
+        return True
+    first, last = p[0], p[-1]
+    above = False
+    for x in p[1:-1]:
+        if x > first:
+            above = True
+        elif above and x < last:
+            return False
+    return True
+
+
+_KERNELS = {
+    classical((1, 2, 3)): _avoids_123,
+    classical((3, 2, 1)): _avoids_321,
+    classical((2, 3, 1)): _avoids_231,
+    classical((1, 3, 2)): _avoids_132,
+    classical((2, 1, 3)): _avoids_213,
+    classical((3, 1, 2)): _avoids_312,
+    VALUE_ANCHORED_3412: _avoids_3n12,
+    POSITION_ANCHORED_3412: _avoids_u3412,
+}
+
+
 def avoids(host: Perm, specs: Iterable[PatternSpec]) -> bool:
-    """True when host contains no occurrence of any spec."""
-    return all(find_occurrence(host, spec) is None for spec in specs)
+    """
+    True when host contains no occurrence of any spec.
+
+    The eight shipped specs (the six of length 3, ``3n12`` and ``u3412``)
+    take a linear-time kernel; any other spec takes find_occurrence.
+
+    >>> avoids((2, 4, 1, 3), (classical((2, 3, 1)),))
+    False
+    >>> avoids((2, 4, 1, 3), (classical((1, 2, 3)), POSITION_ANCHORED_3412))
+    True
+    """
+    for spec in specs:
+        kernel = spec._kernel
+        if kernel is None:
+            if find_occurrence(host, spec) is not None:
+                return False
+        elif not kernel(host):
+            return False
+    return True

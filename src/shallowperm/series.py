@@ -14,6 +14,7 @@ surviving negative degree.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -543,6 +544,8 @@ def catalog(name: str, order: int = 12) -> Union[RationalSeries, BivariateSeries
     Expand a named catalog entry to the requested truncation order.
 
     Raises KeyError for unknown names and OrderExceeded beyond ORDER_CAP.
+    Expansions are immutable and memoised by (name, order); the checks
+    above run on every call.
     """
     if name not in CATALOG:
         raise KeyError(f"unknown catalog name {name!r}; see catalog_names()")
@@ -550,6 +553,11 @@ def catalog(name: str, order: int = 12) -> Union[RationalSeries, BivariateSeries
         raise ValueError("order must be nonnegative")
     if order > ORDER_CAP:
         raise OrderExceeded(f"order {order} beyond the configured cap {ORDER_CAP}")
+    return _expand(name, order)
+
+
+@functools.lru_cache(maxsize=128, typed=True)
+def _expand(name: str, order: int) -> Union[RationalSeries, BivariateSeries]:
     return CATALOG[name].build(order)
 
 

@@ -156,9 +156,9 @@ def certify_shallow(p: Perm) -> ShallowCertificate:
         j, moved, current = _reduce(current)
         if moved is None:
             kind = StepKind.APPENDED_MAX
-        elif lr_max_flags(current)[j]:
+        elif j == 0 or max(current[:j]) < moved:
             kind = StepKind.LEFT_TO_RIGHT_MAX
-        elif rl_min_flags(current)[j]:
+        elif j == len(current) - 1 or min(current[j + 1:]) > moved:
             kind = StepKind.RIGHT_TO_LEFT_MIN
         else:
             kind = StepKind.VIOLATION

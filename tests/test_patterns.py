@@ -1,6 +1,8 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shallowperm.patterns import (
     Anchor,
@@ -147,3 +149,39 @@ class TestAnchoredProperties:
         for n in range(7):
             for p in generate_shallow(n):
                 assert avoids(p, both)
+
+
+# The specs avoids decides by a linear-time kernel, and specs that must
+# still reach find_occurrence.
+KERNEL_SPECS = [classical(sigma) for sigma in all_perms(3)] + [
+    VALUE_ANCHORED_3412,
+    POSITION_ANCHORED_3412,
+]
+GENERIC_SPECS = [classical(w) for w in ((3, 4, 1, 2), (1,), (1, 2), (2, 1), ())]
+
+
+class TestKernelsAgainstSearch:
+    def test_exhaustive_small_sizes(self):
+        for n in range(8):
+            for p in all_perms(n):
+                for spec in KERNEL_SPECS:
+                    assert avoids(p, (spec,)) == (find_occurrence(p, spec) is None), (p, spec)
+
+    @settings(max_examples=300)
+    @given(st.integers(0, 14).flatmap(lambda n: st.permutations(range(1, n + 1))).map(tuple))
+    def test_random_hosts(self, p):
+        for spec in KERNEL_SPECS:
+            assert avoids(p, (spec,)) == (find_occurrence(p, spec) is None), spec
+
+    def test_generic_specs_keep_search_answer(self):
+        for n in range(7):
+            for p in all_perms(n):
+                for spec in GENERIC_SPECS:
+                    assert avoids(p, (spec,)) == (find_occurrence(p, spec) is None), (p, spec)
+
+    def test_mixed_specs_fail_on_any_containment(self):
+        specs = KERNEL_SPECS + GENERIC_SPECS[:1]
+        for n in range(7):
+            for p in all_perms(n):
+                contained = any(find_occurrence(p, spec) is not None for spec in specs)
+                assert avoids(p, specs) == (not contained), p

@@ -224,6 +224,18 @@ class TestCatalogSurface:
         with pytest.raises(OrderExceeded):
             catalog("T231", series.ORDER_CAP + 1)
 
+    def test_repeated_calls_agree_and_errors_repeat(self):
+        for name in catalog_names():
+            first = catalog(name, 9)
+            assert catalog(name, 9) == first == series.CATALOG[name].build(9)
+        for _ in range(2):
+            with pytest.raises(KeyError):
+                catalog("T999", 4)
+            with pytest.raises(ValueError):
+                catalog("T231", -1)
+            with pytest.raises(OrderExceeded):
+                catalog("T231", series.ORDER_CAP + 1)
+
     def test_variable_roles_present(self):
         for entry in series.CATALOG.values():
             assert entry.size_variable

@@ -8,7 +8,9 @@ from shallowperm.perms import (
     decreasing,
     direct_sum,
     identity,
+    lr_max_flags,
     reverse_complement,
+    rl_min_flags,
     skew_sum,
 )
 from shallowperm.shallow import (
@@ -152,6 +154,24 @@ class TestCertificates:
                 assert (step.moved_value is None) == (
                     step.classification is StepKind.APPENDED_MAX
                 )
+
+    def test_step_kinds_match_flag_definitions(self):
+        # Each step's kind, read off the flags of the word it leaves.
+        for n in range(8):
+            for p in all_perms(n):
+                current = p
+                for step in certify_shallow(p).steps:
+                    current = r_operator(current)
+                    j = step.position_of_max - 1
+                    if step.moved_value is None:
+                        expected = StepKind.APPENDED_MAX
+                    elif lr_max_flags(current)[j]:
+                        expected = StepKind.LEFT_TO_RIGHT_MAX
+                    elif rl_min_flags(current)[j]:
+                        expected = StepKind.RIGHT_TO_LEFT_MIN
+                    else:
+                        expected = StepKind.VIOLATION
+                    assert step.classification is expected, (p, step)
 
 
 class TestExtension:
