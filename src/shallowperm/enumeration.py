@@ -234,6 +234,27 @@ def report_from_pairs(pairs: Iterable[VerificationPair]) -> VerificationReport:
     )
 
 
+def oracle_values(oracle: str, order: int, refined: bool = False) -> Callable[..., int]:
+    """
+    The exact values of a named oracle, expanded once up to size order.
+
+    A univariate catalog series or a closed-form family gives value(n);
+    a bivariate series gives value(n, k) and needs refined=True. Raises
+    OracleDomainError for an unknown name or a refinement mismatch.
+    """
+    if oracle in series.CATALOG:
+        expansion = series.catalog(oracle, order)
+        bivariate = isinstance(expansion, series.BivariateSeries)
+        value = expansion.value if bivariate else lambda n: int(series.coefficient(expansion, n))
+    elif oracle in series.CLOSED_FORMS:
+        bivariate, value = False, lambda n: series.closed_form(oracle, n)
+    else:
+        raise OracleDomainError(f"unknown oracle {oracle!r}")
+    if bivariate != refined:
+        raise OracleDomainError(f"{oracle} does not fit a {'' if refined else 'un'}refined table")
+    return value
+
+
 def verify(table: CountTable, oracle: str) -> VerificationReport:
     """
     Compare every table row against a catalog series or closed-form family.
@@ -246,30 +267,16 @@ def verify(table: CountTable, oracle: str) -> VerificationReport:
     if not sizes:
         return report_from_pairs(())
     refined = any(row.k is not None for row in table.rows)
-    if oracle in series.CATALOG:
-        expansion = series.catalog(oracle, max(sizes))
-        if not isinstance(expansion, series.RationalSeries):
-            if not refined:
-                raise OracleDomainError(
-                    f"{oracle} is bivariate but the table is unrefined"
-                )
-            observed = {(row.n, row.k): row.count for row in table.rows}
-            return report_from_pairs(
-                VerificationPair(
-                    f"{oracle}[{n},{k}]", n, observed.get((n, k), 0), expansion.value(n, k), k
-                )
-                for n in sizes
-                for k in range(n + 1)
+    expected = oracle_values(oracle, max(sizes), refined)
+    if refined:
+        observed = {(row.n, row.k): row.count for row in table.rows}
+        return report_from_pairs(
+            VerificationPair(
+                f"{oracle}[{n},{k}]", n, observed.get((n, k), 0), expected(n, k), k
             )
-        if refined:
-            raise OracleDomainError(f"{oracle} is univariate but the table is refined")
-        expected = lambda n: int(series.coefficient(expansion, n))
-    elif oracle in series._CLOSED_FORM_FUNCS:
-        if refined:
-            raise OracleDomainError(f"{oracle} is a plain count family")
-        expected = lambda n: series.closed_form(oracle, n)
-    else:
-        raise OracleDomainError(f"unknown oracle {oracle!r}")
+            for n in sizes
+            for k in range(n + 1)
+        )
     try:
         return report_from_pairs(
             VerificationPair(f"{oracle}[{row.n}]", row.n, row.count, expected(row.n))

@@ -161,6 +161,13 @@ class TestVerify:
     def test_unknown_suite_exit_2(self, capsys):
         assert main(["verify", "--suite", "everything"]) == 2
 
+    def test_negative_max_n_exit_2(self, capsys):
+        for suite, max_n in (("all", "-3"), ("table1", "-1")):
+            code, out, err = run(capsys, "verify", "--suite", suite, "--max-n", max_n)
+            assert code == 2
+            assert out == ""
+            assert err == f"error: max_n must be nonnegative, got {max_n}\n"
+
 
 class TestCertify:
     def test_shallow_exit_0(self, capsys):

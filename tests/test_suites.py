@@ -1,9 +1,20 @@
+import json
 import time
+import tracemalloc
+from pathlib import Path
 
 import pytest
 
+from shallowperm import suites
 from shallowperm.enumeration import Caps
-from shallowperm.suites import SUITES, check_decreasing, check_table1, run_suite
+from shallowperm.shallow import generate_shallow
+from shallowperm.suites import (
+    SUITES,
+    check_decreasing,
+    check_direct_sum_closure,
+    check_table1,
+    run_suite,
+)
 
 
 def test_suite_names():
@@ -13,6 +24,12 @@ def test_suite_names():
 def test_unknown_suite():
     with pytest.raises(KeyError):
         run_suite("everything")
+
+
+@pytest.mark.parametrize("name", ["all", "table1"])
+def test_negative_max_n_rejected(name):
+    with pytest.raises(ValueError, match="max_n must be nonnegative"):
+        run_suite(name, max_n=-1)
 
 
 def test_small_closure_suite_passes():
@@ -39,3 +56,44 @@ def test_check_decreasing_clamps_to_constructive_cap():
     assert time.perf_counter() - start < 2.0
     assert [p.label for p in pairs] == ["decreasing permutation not shallow [n<=12]"]
     assert pairs[0].match
+
+
+# Every row of run_suite("all", max_n=6) as (label, n, k, observed, expected,
+# match), recorded before the checks became oracle tables.
+PINNED_ROWS = Path(__file__).parent / "data" / "verify_all_max6.json"
+
+
+def test_all_suite_rows_match_pinned_file():
+    pinned = json.loads(PINNED_ROWS.read_text())
+    rows = [
+        [p.label, p.n, p.k, p.table_value, p.oracle_value, p.match]
+        for p in run_suite("all", max_n=6).pairs
+    ]
+    assert len(pinned) == 300
+    assert rows == pinned
+
+
+def test_direct_sum_closure_memory_is_bounded():
+    # Only summands of size <= 4 are held in lists; keeping every size up to
+    # 8 in lists peaked at about 2.9 MB.
+    tracemalloc.start()
+    try:
+        pairs = check_direct_sum_closure(8, Caps())
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert [(p.label, p.table_value) for p in pairs] == [
+        ("direct-sum closure violations [|p|+|q|<=8]", 0)
+    ]
+    assert peak < 1.45e6
+
+
+def test_direct_sum_closure_tests_every_pair_once(monkeypatch):
+    # A decider that rejects everything makes the row count every (p, q) tested.
+    monkeypatch.setattr(suites, "is_shallow", lambda p: False)
+    shallow = [sum(1 for _ in generate_shallow(n)) for n in range(8)]
+    for total in range(8):
+        pairs = sum(
+            shallow[a] * shallow[b] for a in range(total + 1) for b in range(total + 1 - a)
+        )
+        assert check_direct_sum_closure(total, Caps())[0].table_value == pairs
