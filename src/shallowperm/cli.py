@@ -285,7 +285,7 @@ def _cmd_gf(args) -> int:
     except KeyError as exc:
         print(f"error: {exc.args[0]}", file=sys.stderr)
         return 2
-    except (OrderExceeded, ValueError) as exc:
+    except OrderExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     payload, header, rows = _gf_payload(expansion, args.name, args.order)

@@ -307,8 +307,8 @@ class ProfilePair:
     consistent: bool
 
 
-_PATTERN_132 = PatternSpec(pattern=(1, 3, 2))
-_PATTERN_321 = PatternSpec(pattern=(3, 2, 1))
+_AVOID_132 = (PatternSpec(pattern=(1, 3, 2)),)
+_AVOID_321 = (PatternSpec(pattern=(3, 2, 1)),)
 
 
 def profile(n: int, caps: Caps = DEFAULT_CAPS) -> ProfilePair:
@@ -323,9 +323,9 @@ def profile(n: int, caps: Caps = DEFAULT_CAPS) -> ProfilePair:
     left: Counter = Counter()
     right: Counter = Counter()
     for p in generate_shallow(n):
-        if avoids(p, (_PATTERN_132,)):
+        if avoids(p, _AVOID_132):
             left[(cycle_count(p), descent_count(p) + 1)] += 1
-        if avoids(p, (_PATTERN_321,)):
+        if avoids(p, _AVOID_321):
             right[(cycle_count(p), sum(lr_max_flags(p)))] += 1
     left_profile = StatProfile(
         n=n,

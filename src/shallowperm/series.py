@@ -11,6 +11,11 @@ leading-pair series C: the defining quotients involve 1/t and 1/(xt)
 factors whose negative powers must cancel, so the intermediate
 coefficients are Laurent polynomials and a final check rejects any
 surviving negative degree.
+
+There is one long division, the Laurent-coefficient `_ls_div`. Every
+quotient in the catalog goes through it, and a univariate series is its
+degree-0 case: `expand_rational` lifts each coefficient to a constant
+Laurent polynomial, divides, and reads degree 0 back.
 """
 from __future__ import annotations
 
@@ -80,6 +85,8 @@ class BivariateSeries:
         return self.rows[n][k]
 
     def row_sum(self, n: int) -> int:
+        if n < 0:
+            raise ValueError("size must be nonnegative")
         if n > self.order:
             raise OrderExceeded(f"size {n} beyond order {self.order}")
         return sum(self.rows[n])
@@ -105,18 +112,16 @@ def expand_rational(
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
-    num = [Fraction(c) for c in numerator]
-    den = [Fraction(c) for c in denominator]
-    if not den or den[0] == 0:
-        raise ZeroConstantTerm("denominator constant term is zero")
-    coeffs = []
-    for n in range(order + 1):
-        acc = num[n] if n < len(num) else Fraction(0)
-        for i in range(max(0, n - len(den) + 1), n):
-            acc -= coeffs[i] * den[n - i]
-        coeffs.append(acc / den[0])
+    rows = _ls_div(
+        [{0: Fraction(c)} if c else {} for c in numerator],
+        [{0: Fraction(c)} if c else {} for c in denominator],
+        order,
+    )
     return RationalSeries(
-        coefficients=tuple(coeffs), variable=variable, counting=counting, name=name
+        coefficients=tuple(row.get(0, Fraction(0)) for row in rows),
+        variable=variable,
+        counting=counting,
+        name=name,
     )
 
 
@@ -183,46 +188,20 @@ Laurent = dict[int, Fraction]
 _LSeries = list[Laurent]
 
 
-def _lp_add(a: Laurent, b: Laurent) -> Laurent:
-    out = dict(a)
-    for e, c in b.items():
-        s = out.get(e, Fraction(0)) + c
-        if s:
-            out[e] = s
-        else:
-            out.pop(e, None)
-    return out
-
-
-def _lp_mul(a: Laurent, b: Laurent) -> Laurent:
-    out: Laurent = {}
-    for ea, ca in a.items():
-        for eb, cb in b.items():
-            e = ea + eb
-            s = out.get(e, Fraction(0)) + ca * cb
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-    return out
-
-
-def _lp_scale(a: Laurent, factor: Fraction, shift: int = 0) -> Laurent:
-    if factor == 0:
-        return {}
-    return {e + shift: c * factor for e, c in a.items()}
-
-
 def _ls_add(f: _LSeries, g: _LSeries) -> _LSeries:
-    n = max(len(f), len(g))
-    return [
-        _lp_add(f[i] if i < len(f) else {}, g[i] if i < len(g) else {})
-        for i in range(n)
-    ]
+    out = [dict(row) for row in f] + [{} for _ in range(len(g) - len(f))]
+    for row, other in zip(out, g):
+        for e, c in other.items():
+            total = row.get(e, 0) + c
+            if total:
+                row[e] = total
+            else:
+                row.pop(e, None)
+    return out
 
 
 def _ls_scale(f: _LSeries, factor: Fraction, stat_shift: int = 0) -> _LSeries:
-    return [_lp_scale(row, factor, stat_shift) for row in f]
+    return [{e + stat_shift: c * factor for e, c in row.items()} for row in f]
 
 
 def _ls_shift_size(f: _LSeries, delta: int, order: int) -> _LSeries:
@@ -235,33 +214,26 @@ def _ls_shift_size(f: _LSeries, delta: int, order: int) -> _LSeries:
     return rows[: order + 1]
 
 
-def _ls_mul(f: _LSeries, g: _LSeries, order: int) -> _LSeries:
-    out: _LSeries = [{} for _ in range(order + 1)]
-    for i in range(min(len(f), order + 1)):
-        if not f[i]:
-            continue
-        for j in range(min(len(g), order + 1 - i)):
-            if not g[j]:
-                continue
-            out[i + j] = _lp_add(out[i + j], _lp_mul(f[i], g[j]))
-    return out
-
-
 def _ls_div(num: _LSeries, den: _LSeries, order: int) -> _LSeries:
-    lead = den[0]
+    """The quotient num/den to the order; den[0] must be a single monomial."""
+    lead = den[0] if den else {}
     if len(lead) != 1:
         raise ZeroConstantTerm(
             "series division needs a monomial leading coefficient"
         )
     ((lead_exp, lead_coeff),) = lead.items()
-    inv = {-lead_exp: Fraction(1) / lead_coeff}
     out: _LSeries = []
     for n in range(order + 1):
         acc = dict(num[n]) if n < len(num) else {}
         for i in range(max(0, n - len(den) + 1), n):
-            if den[n - i]:
-                acc = _lp_add(acc, _lp_scale(_lp_mul(out[i], den[n - i]), Fraction(-1)))
-        out.append(_lp_mul(acc, inv))
+            d = den[n - i]
+            if not d:
+                continue
+            for ea, ca in out[i].items():
+                for eb, cb in d.items():
+                    e = ea + eb
+                    acc[e] = acc.get(e, 0) - ca * cb
+        out.append({e - lead_exp: c / lead_coeff for e, c in acc.items() if c})
     return out
 
 
@@ -300,7 +272,7 @@ def _leading_pair_231_raw(order: int) -> _LSeries:
     # t^2 x^4 + t x^2 / (1 - xt) + 3 t^3 x^5 / (1 - xt)^2
     one = _ls_one(order)
     inv_lin = _ls_div(one, [{0: Fraction(1)}, {1: Fraction(-1)}], order)
-    inv_sq = _ls_mul(inv_lin, inv_lin, order)
+    inv_sq = _ls_div(one, [{0: Fraction(1)}, {1: Fraction(-2)}, {2: Fraction(1)}], order)
     quartic: _LSeries = [{} for _ in range(order + 1)]
     if order >= 4:
         quartic[4] = {2: Fraction(1)}
@@ -321,34 +293,14 @@ def _head_series_231_raw(order: int) -> _LSeries:
     return _ls_div(num, den, order)
 
 
-def _build_c231(order: int) -> BivariateSeries:
-    return _rows_to_bivariate(
-        _leading_pair_231_raw(order)[: order + 1],
-        size_variable="x",
-        statistic_variable="t",
-        name="C231xt",
-    )
+def _total_231_raw(order: int) -> _LSeries:
+    # T = 1 / (1 - B)
+    one = _ls_one(order)
+    one_minus_b = _ls_add(one, _ls_scale(_head_series_231_raw(order), Fraction(-1)))
+    return _ls_div(one, one_minus_b, order)
 
 
-def _build_b231(order: int) -> BivariateSeries:
-    return _rows_to_bivariate(
-        _head_series_231_raw(order),
-        size_variable="x",
-        statistic_variable="t",
-        name="B231xt",
-    )
-
-
-def _build_t231xt(order: int) -> BivariateSeries:
-    b = _head_series_231_raw(order)
-    one_minus_b = _ls_add(_ls_one(order), _ls_scale(b, Fraction(-1)))
-    t = _ls_div(_ls_one(order), one_minus_b, order)
-    return _rows_to_bivariate(
-        t, size_variable="x", statistic_variable="t", name="T231xt"
-    )
-
-
-def _build_a321(order: int) -> BivariateSeries:
+def _a321_raw(order: int) -> _LSeries:
     one = Fraction(1)
     num: _LSeries = [
         {},
@@ -362,22 +314,15 @@ def _build_a321(order: int) -> BivariateSeries:
         {0: Fraction(3), 1: Fraction(-2)},
         {0: Fraction(-1), 1: one},
     ]
-    rows = _ls_div(num[: order + 1], den, order)
-    return _rows_to_bivariate(
-        rows, size_variable="z", statistic_variable="x", name="A321xz"
-    )
+    return _ls_div(num, den, order)
 
 
-def _build_desc_binom_132(order: int) -> BivariateSeries:
-    rows = [(1,)]
-    for n in range(1, order + 1):
-        rows.append(tuple(binomial(2 * n - 2 - k, k) for k in range(n + 1)))
-    return BivariateSeries(
-        rows=tuple(rows),
-        size_variable="n",
-        statistic_variable="k",
-        name="DescBinom132",
-    )
+def _desc_binom_132_raw(order: int) -> _LSeries:
+    # binomial(2n-2-k, k), with the empty permutation counted at n = 0
+    return [{0: 1}] + [
+        {k: binomial(2 * n - 2 - k, k) for k in range(n + 1)}
+        for n in range(1, order + 1)
+    ]
 
 
 def _poly_mul(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
@@ -432,7 +377,15 @@ def _univariate(name, description, num, den):
     )
 
 
-def _bivariate(name, description, size_variable, statistic_variable, build):
+def _bivariate(name, description, size_variable, statistic_variable, raw):
+    def build(order: int) -> BivariateSeries:
+        return _rows_to_bivariate(
+            raw(order),
+            size_variable=size_variable,
+            statistic_variable=statistic_variable,
+            name=name,
+        )
+
     return CatalogEntry(
         name=name,
         kind="bivariate",
@@ -498,7 +451,7 @@ CATALOG: dict[str, CatalogEntry] = {
             "shallow 321-avoiding permutations by size (z) and descents (x)",
             "z",
             "x",
-            _build_a321,
+            _a321_raw,
         ),
         _bivariate(
             "C231xt",
@@ -506,7 +459,7 @@ CATALOG: dict[str, CatalogEntry] = {
             "values in order, by size (x) and descents (t)",
             "x",
             "t",
-            _build_c231,
+            _leading_pair_231_raw,
         ),
         _bivariate(
             "B231xt",
@@ -514,14 +467,14 @@ CATALOG: dict[str, CatalogEntry] = {
             "value, by size (x) and descents (t)",
             "x",
             "t",
-            _build_b231,
+            _head_series_231_raw,
         ),
         _bivariate(
             "T231xt",
             "shallow 231-avoiding permutations by size (x) and descents (t)",
             "x",
             "t",
-            _build_t231xt,
+            _total_231_raw,
         ),
         _bivariate(
             "DescBinom132",
@@ -529,7 +482,7 @@ CATALOG: dict[str, CatalogEntry] = {
             "binomial(2n-2-k, k)",
             "n",
             "k",
-            _build_desc_binom_132,
+            _desc_binom_132_raw,
         ),
     ]
 }

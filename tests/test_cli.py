@@ -227,6 +227,11 @@ class TestGf:
         code, out, err = run(capsys, "gf", "--name", "T231", "--order", "100")
         assert code == 1
 
+    def test_negative_order_exit_2(self, capsys):
+        code, out, err = run(capsys, "gf", "--name", "T231", "--order", "-1")
+        assert code == 2
+        assert "nonnegative" in err
+
 
 class TestProfile:
     def test_size5(self, capsys):

@@ -2,6 +2,7 @@ import dataclasses
 
 import pytest
 
+from shallowperm import enumeration
 from shallowperm.enumeration import (
     Caps,
     CountQuery,
@@ -263,6 +264,18 @@ class TestProfile:
     def test_cap(self):
         with pytest.raises(SizeCapExceeded):
             profile(13)
+
+    def test_spec_tuples_built_once(self, monkeypatch):
+        seen = {}  # holding each tuple keeps its id from being reused
+        real = enumeration.avoids
+
+        def recorder(p, specs):
+            seen[id(specs)] = specs
+            return real(p, specs)
+
+        monkeypatch.setattr(enumeration, "avoids", recorder)
+        profile(6)
+        assert len(seen) == 2
 
 
 class TestMeshSearch:

@@ -1,4 +1,6 @@
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -31,9 +33,10 @@ class TestExpand:
     def test_geometric(self):
         assert ints(expand_rational([1], [1, -1], 4)) == [1, 1, 1, 1, 1]
 
-    def test_zero_constant_term(self):
+    @pytest.mark.parametrize("den", [[0, 1], [], [0]], ids=["no_constant", "empty", "zero"])
+    def test_zero_constant_term(self, den):
         with pytest.raises(ZeroConstantTerm):
-            expand_rational([1], [0, 1], 3)
+            expand_rational([1], den, 3)
 
     def test_fractional_leading_coefficient(self):
         s = expand_rational([1], [2, -1], 2)
@@ -199,6 +202,13 @@ class TestBivariateCatalog:
         with pytest.raises(OrderExceeded):
             a.value(5, 0)
 
+    def test_row_sum_rejects_negative_size(self):
+        a = catalog("A321xz", 6)
+        with pytest.raises(ValueError):
+            a.value(-1, 0)
+        with pytest.raises(ValueError):
+            a.row_sum(-1)
+
     def test_negative_degree_guard(self):
         with pytest.raises(NegativeDegreeResidue):
             series._rows_to_bivariate(
@@ -241,6 +251,24 @@ class TestCatalogSurface:
             assert entry.size_variable
             if entry.kind == "bivariate":
                 assert entry.statistic_variable
+
+
+PINNED_EXPANSIONS = Path(__file__).parent / "data" / "catalog_expansions.json"
+
+
+def test_every_expansion_matches_pinned_prefix():
+    pinned = json.loads(PINNED_EXPANSIONS.read_text())
+    assert set(pinned["univariate"]) | set(pinned["bivariate"]) == set(catalog_names())
+    for name, coefficients in pinned["univariate"].items():
+        for m in range(pinned["univariate_order"] + 1):
+            s = catalog(name, m)
+            assert all(type(c) is Fraction for c in s.coefficients), (name, m)
+            assert list(s.coefficients) == coefficients[: m + 1], (name, m)
+    for name, rows in pinned["bivariate"].items():
+        for m in range(pinned["bivariate_order"] + 1):
+            b = catalog(name, m)
+            assert all(type(v) is int for row in b.rows for v in row), (name, m)
+            assert [list(row) for row in b.rows] == rows[: m + 1], (name, m)
 
 
 class TestClosedForms:
