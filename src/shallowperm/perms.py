@@ -259,11 +259,9 @@ _SYMMETRY_MAP = {
     SymmetryKind.REVERSE_COMPLEMENT_INVERSE: reverse_complement_inverse,
 }
 
-_CLASS_KIND = {
-    SymmetryClass.INVOLUTION: SymmetryKind.INVERSE,
-    SymmetryClass.CENTROSYMMETRIC: SymmetryKind.REVERSE_COMPLEMENT,
-    SymmetryClass.PERSYMMETRIC: SymmetryKind.REVERSE_COMPLEMENT_INVERSE,
-}
+_INVOLUTION = SymmetryClass.INVOLUTION
+_CENTROSYMMETRIC = SymmetryClass.CENTROSYMMETRIC
+_PERSYMMETRIC = SymmetryClass.PERSYMMETRIC
 
 
 def apply_symmetry(p: Perm, kind: SymmetryKind) -> Perm:
@@ -272,8 +270,36 @@ def apply_symmetry(p: Perm, kind: SymmetryKind) -> Perm:
 
 
 def is_in_class(p: Perm, cls: SymmetryClass) -> bool:
-    """True when p is fixed by the symmetry defining the class."""
-    return p == apply_symmetry(p, _CLASS_KIND[cls])
+    """
+    True when p is fixed by the symmetry defining the class.
+
+    Each class is a fixed-point scan that stops at the first entry that
+    breaks it, with no image built: in 0-based slots, an involution has
+    p[p[i] - 1] = i + 1, a centrosymmetric word p[i] + p[n - 1 - i] = n + 1,
+    and a persymmetric word p[n - p[i]] = n - i. The definition,
+    ``p == apply_symmetry(p, kind)``, is the test oracle.
+
+    >>> [is_in_class((2, 3, 4, 5, 1), cls) for cls in SymmetryClass]
+    [False, False, True]
+    """
+    if cls is _INVOLUTION:
+        for i, v in enumerate(p, 1):
+            if p[v - 1] != i:
+                return False
+        return True
+    if cls is _CENTROSYMMETRIC:
+        top = len(p) + 1
+        for i, v in enumerate(p):
+            if v + p[-1 - i] != top:
+                return False
+        return True
+    if cls is _PERSYMMETRIC:
+        n = len(p)
+        for i, v in enumerate(p):
+            if p[n - v] != n - i:
+                return False
+        return True
+    raise ValueError(f"not a symmetry class: {cls!r}")
 
 
 def direct_sum(p: Perm, q: Perm) -> Perm:

@@ -238,10 +238,12 @@ def generate_shallow(n: int) -> Iterator[Perm]:
     """
     Yield every shallow permutation of size n exactly once.
 
-    Grows level by level from the singleton word, keeping only the parents
-    of the previous size in memory. Children of distinct (parent, slot)
-    pairs are distinct because each child reduces back to its parent, so
-    no deduplication is needed.
+    Walks the tree of right-operator reductions depth first from the
+    singleton word, holding one child iterator per size on the path, so
+    O(n) words are held however large the class is. Leaves come out in
+    the same order as growing the tree level by level. Children of
+    distinct (parent, slot) pairs are distinct because each child reduces
+    back to its parent, so no deduplication is needed.
     """
     if n < 0:
         raise ValueError("size must be nonnegative")
@@ -251,11 +253,18 @@ def generate_shallow(n: int) -> Iterator[Perm]:
     if n == 1:
         yield (1,)
         return
-    level: list[Perm] = [(1,)]
-    for _ in range(n - 2):
-        level = [child for parent in level for child in _children(parent)]
-    for parent in level:
-        yield from _children(parent)
+    # stack[k] iterates over words of size k + 1.
+    stack: list[Iterator[Perm]] = [iter(((1,),))]
+    while stack:
+        if len(stack) == n - 1:
+            for parent in stack.pop():
+                yield from _children(parent)
+            continue
+        word = next(stack[-1], None)
+        if word is None:
+            stack.pop()
+        else:
+            stack.append(_children(word))
 
 
 def wrap_n1(p: Perm) -> Perm:

@@ -92,6 +92,9 @@ _AVOID = {name: (spec,) for name, spec in PATTERNS.items()}
 _AVOID_3412 = (classical((3, 4, 1, 2)),)
 _AVOID_ANCHORED_3412 = (VALUE_ANCHORED_3412, POSITION_ANCHORED_3412)
 
+_CLASSES = tuple(SymmetryClass)
+_IN_NO_CLASS = (False,) * len(_SYMMETRY_ORACLES)
+
 Check = Callable[[Optional[int], Caps], list[VerificationPair]]
 Walk = Callable[[int], Iterator[Perm]]
 
@@ -190,9 +193,12 @@ def check_grassmannian(max_n: Optional[int], caps: Caps) -> list[VerificationPai
 
 def _symmetry_flags(p: Perm) -> tuple[bool, ...]:
     """Per symmetry oracle: p lies in its class and avoids its pattern."""
-    members = [cls for cls in SymmetryClass if is_in_class(p, cls)]
+    inside = [is_in_class(p, cls) for cls in _CLASSES]
+    if True not in inside:
+        return _IN_NO_CLASS
     return tuple(
-        [cls in members and avoids(p, _AVOID[name]) for name, cls, _ in _SYMMETRY_ORACLES]
+        [inside[_CLASSES.index(cls)] and avoids(p, _AVOID[name])
+         for name, cls, _ in _SYMMETRY_ORACLES]
     )
 
 

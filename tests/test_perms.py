@@ -34,6 +34,43 @@ def all_perms(n):
     return itertools.permutations(range(1, n + 1))
 
 
+CLASS_KIND = {
+    SymmetryClass.INVOLUTION: SymmetryKind.INVERSE,
+    SymmetryClass.CENTROSYMMETRIC: SymmetryKind.REVERSE_COMPLEMENT,
+    SymmetryClass.PERSYMMETRIC: SymmetryKind.REVERSE_COMPLEMENT_INVERSE,
+}
+
+
+@st.composite
+def class_candidates(draw):
+    """
+    A permutation of size <= 30: uniform, or built inside one symmetry class
+    and then, sometimes, spoiled by swapping two entries.
+    """
+    n = draw(st.integers(0, 30))
+    q = draw(st.permutations(range(1, n + 1)))
+    shape = draw(st.sampled_from(["uniform", "involution", "persymmetric", "centrosymmetric"]))
+    if shape == "uniform":
+        return tuple(q)
+    p = list(range(1, n + 1))
+    if shape == "centrosymmetric":
+        half = sorted(q[: n // 2])
+        for i, v in enumerate(q[: n // 2]):
+            low = half.index(v) + 1
+            p[i] = low if v % 2 else n + 1 - low
+            p[n - 1 - i] = n + 1 - p[i]
+    else:
+        for k in range(draw(st.integers(0, n // 2))):
+            a, b = q[2 * k], q[2 * k + 1]
+            p[a - 1], p[b - 1] = b, a
+        if shape == "persymmetric":
+            p.reverse()
+    if n >= 2 and draw(st.booleans()):
+        i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        p[i], p[j] = p[j], p[i]
+    return tuple(p)
+
+
 class TestParsing:
     def test_comma_separated(self):
         assert parse_permutation("4,2,1,6,3,5") == (4, 2, 1, 6, 3, 5)
@@ -196,14 +233,21 @@ class TestSymmetryClasses:
         assert is_in_class(p, SymmetryClass.PERSYMMETRIC)
 
     def test_matches_fixed_point_definition(self):
-        pairs = [
-            (SymmetryClass.INVOLUTION, inverse),
-            (SymmetryClass.CENTROSYMMETRIC, reverse_complement),
-            (SymmetryClass.PERSYMMETRIC, reverse_complement_inverse),
-        ]
-        for p in all_perms(5):
-            for cls, op in pairs:
-                assert is_in_class(p, cls) == (op(p) == p)
+        for n in range(9):
+            for p in all_perms(n):
+                for cls, kind in CLASS_KIND.items():
+                    assert is_in_class(p, cls) == (p == apply_symmetry(p, kind))
+
+    @given(class_candidates())
+    @example(())
+    @example((2, 3, 4, 5, 1))
+    def test_matches_apply_symmetry_up_to_30(self, p):
+        for cls, kind in CLASS_KIND.items():
+            assert is_in_class(p, cls) == (p == apply_symmetry(p, kind))
+
+    def test_rejects_a_symmetry_kind(self):
+        with pytest.raises(ValueError):
+            is_in_class((2, 1), SymmetryKind.INVERSE)
 
 
 class TestSums:

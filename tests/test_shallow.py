@@ -1,9 +1,11 @@
 import itertools
+import tracemalloc
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from shallowperm import shallow
 from shallowperm.perms import (
     decreasing,
     direct_sum,
@@ -35,6 +37,16 @@ def all_perms(n):
 
 def brute_shallow(n):
     return {p for p in all_perms(n) if is_shallow(p)}
+
+
+def level_by_level(n):
+    """The generator's earlier order: grow each whole size from the one before."""
+    if n == 0:
+        return [()]
+    level = [(1,)]
+    for _ in range(n - 1):
+        level = [child for parent in level for child in shallow._children(parent)]
+    return level
 
 
 class TestDeciders:
@@ -231,6 +243,32 @@ class TestGenerator:
     def test_negative(self):
         with pytest.raises(ValueError):
             list(generate_shallow(-1))
+
+    def test_order_matches_level_by_level(self):
+        for n in range(10):
+            assert list(generate_shallow(n)) == level_by_level(n), n
+
+    def test_memory_does_not_grow_with_class_size(self):
+        tracemalloc.start()
+        try:
+            for _ in generate_shallow(9):
+                pass
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
+
+    def test_first_emission_expands_at_most_n_words(self, monkeypatch):
+        children = shallow._children
+        expanded = []
+
+        def counting(t):
+            expanded.append(t)
+            return children(t)
+
+        monkeypatch.setattr(shallow, "_children", counting)
+        assert next(generate_shallow(12)) == identity(12)
+        assert len(expanded) <= 12
 
 
 class TestWrap:
