@@ -7,9 +7,16 @@ payload rows. Count-like numbers are serialized as decimal strings so
 arbitrarily large values survive consumers that parse JSON numbers as
 doubles.
 
+Each `_cmd_*` handler takes the parsed arguments and returns
+`(exit code, parameters, payload, header, rows)`: the flat rows are the
+csv/md output and, where the fields coincide, the source of the JSON
+records. `main` owns the rest in one place: the clock, the single `_emit`
+call, and the map from errors to exit codes.
+
 Exit codes: 0 success (all checks pass, permutation shallow); 1 domain
-failure (a mismatch, a non-shallow permutation, a cap or disagreement
-error); 2 usage error (bad flags, unparseable input, unknown name).
+failure (a mismatch, a non-shallow permutation, or a raised
+SizeCapExceeded, OrderExceeded or MethodDisagreement); 2 usage error (bad
+flags, or any other ValueError: unparseable input, unknown catalog name).
 """
 from __future__ import annotations
 
@@ -23,26 +30,18 @@ from typing import Optional, Sequence
 
 from . import series
 from .enumeration import (
+    DEFAULT_CAPS,
     CountQuery,
-    CountTable,
     Method,
     MethodDisagreement,
-    ProfilePair,
     SizeCapExceeded,
-    VerificationReport,
     count,
     profile,
 )
 from .patterns import parse_pattern
-from .perms import (
-    NotAPermutation,
-    ParseError,
-    SymmetryClass,
-    format_permutation,
-    parse_permutation,
-)
+from .perms import SymmetryClass, format_permutation, parse_permutation
 from .series import OrderExceeded
-from .shallow import ShallowCertificate, certify_shallow
+from .shallow import certify_shallow
 from .suites import SUITES, run_suite
 
 SCHEMA_VERSION = "1"
@@ -60,14 +59,12 @@ _SYMMETRIES = {
 }
 
 
-def _parse_sizes(text: str) -> tuple[int, ...]:
-    if ".." in text:
-        lo_text, hi_text = text.split("..", 1)
-        lo, hi = int(lo_text), int(hi_text)
-        if hi < lo:
-            raise ValueError(f"empty size range {text!r}")
-        return tuple(range(lo, hi + 1))
-    return (int(text),)
+def _parse_sizes(text: str) -> range:
+    lo, dots, hi = text.partition("..")
+    sizes = range(int(lo), int(hi if dots else lo) + 1)
+    if not sizes:
+        raise ValueError(f"empty size range {text!r}")
+    return sizes
 
 
 def _fmt_count(value) -> Optional[str]:
@@ -104,233 +101,121 @@ def _emit(command: str, parameters: dict, payload: dict, header, rows, fmt: str,
         sys.stdout.write(_render_rows(header, rows, fmt))
 
 
-# ---------------------------------------------------------------------- count
+# ------------------------------------------------------------------- handlers
 
 
-def _count_payload(table: CountTable):
-    rows_json = []
-    rows_flat = []
-    for row in table.rows:
-        rows_json.append(
-            {
-                "n": row.n,
-                "k": row.k,
-                "count": str(row.count),
-                "elapsed_ms": int(round(row.elapsed * 1000)),
-            }
-        )
-        rows_flat.append([row.n, row.k, str(row.count)])
-    payload = {"method": table.provenance.value, "rows": rows_json}
-    return payload, ("n", "k", "count"), rows_flat
-
-
-def _cmd_count(args) -> int:
-    started = time.perf_counter()
+def _cmd_count(args):
     try:
         specs = tuple(parse_pattern(text) for text in args.avoid or [])
-    except (ParseError, NotAPermutation, ValueError) as exc:
-        print(f"error: bad pattern: {exc}", file=sys.stderr)
-        return 2
-    query = CountQuery(
-        sizes=args.n,
+    except ValueError as exc:
+        raise ValueError(f"bad pattern: {exc}") from None
+    sizes, method = args.n, _METHODS[args.method]
+    limit = DEFAULT_CAPS.limit(method)
+    # Only the ends of a range wider than the cap are read. A negative
+    # range fails in CountQuery on its first size, so its tail is not copied.
+    if sizes[0] >= 0 and len(sizes) > limit + 1:
+        over = f"{max(sizes[0], limit + 1)}..{sizes[-1]}"
+        raise SizeCapExceeded(f"sizes {over} beyond the {method.value} cap {limit}")
+    table = count(CountQuery(
+        sizes=tuple(sizes[: limit + 2]),
         avoid=specs,
         symmetry=_SYMMETRIES[args.symmetry] if args.symmetry else None,
         refine_by=args.by,
-        method=_METHODS[args.method],
-    )
-    try:
-        table = count(query)
-    except (SizeCapExceeded, MethodDisagreement) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    payload, header, rows = _count_payload(table)
+        method=method,
+    ))
+    header = ("n", "k", "count")
+    rows = [[row.n, row.k, str(row.count)] for row in table.rows]
+    records = [
+        {**dict(zip(header, flat)), "elapsed_ms": int(round(row.elapsed * 1000))}
+        for flat, row in zip(rows, table.rows)
+    ]
     parameters = {
-        "n": [int(v) for v in args.n],
+        "n": list(sizes),
         "avoid": list(args.avoid or []),
         "symmetry": args.symmetry,
         "by": args.by,
         "method": args.method,
     }
-    _emit("count", parameters, payload, header, rows, args.format, started)
-    return 0
+    return 0, parameters, {"method": table.provenance.value, "rows": records}, header, rows
 
 
-# --------------------------------------------------------------------- verify
-
-
-def _verify_payload(report: VerificationReport, suite: str, max_n):
-    checks = []
-    rows = []
-    for pair in report.pairs:
-        checks.append(
-            {
-                "check": pair.label,
-                "n": pair.n,
-                "k": pair.k,
-                "observed": _fmt_count(pair.table_value),
-                "expected": _fmt_count(pair.oracle_value),
-                "match": pair.match,
-            }
-        )
-        rows.append(
-            [
-                pair.label,
-                pair.n,
-                pair.k,
-                _fmt_count(pair.table_value),
-                _fmt_count(pair.oracle_value),
-                pair.match,
-            ]
-        )
+def _cmd_verify(args):
+    report = run_suite(args.suite, args.max_n)
+    header = ("check", "n", "k", "observed", "expected", "match")
+    rows = [
+        [p.label, p.n, p.k, _fmt_count(p.table_value), _fmt_count(p.oracle_value), p.match]
+        for p in report.pairs
+    ]
+    checks = [dict(zip(header, row)) for row in rows]
+    mismatch = report.first_mismatch
     payload = {
-        "suite": suite,
-        "max_n": max_n,
+        "suite": args.suite,
+        "max_n": args.max_n,
         "overall": report.overall,
         "checks": checks,
-        "first_mismatch": None
-        if report.first_mismatch is None
-        else checks[report.pairs.index(report.first_mismatch)],
+        "first_mismatch": None if mismatch is None else checks[report.pairs.index(mismatch)],
     }
-    return payload, ("check", "n", "k", "observed", "expected", "match"), rows
-
-
-def _cmd_verify(args) -> int:
-    started = time.perf_counter()
-    try:
-        report = run_suite(args.suite, args.max_n)
-    except SizeCapExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    payload, header, rows = _verify_payload(report, args.suite, args.max_n)
     parameters = {"suite": args.suite, "max_n": args.max_n}
-    _emit("verify", parameters, payload, header, rows, args.format, started)
-    return 0 if report.overall else 1
+    return (0 if report.overall else 1), parameters, payload, header, rows
 
 
-# -------------------------------------------------------------------- certify
-
-
-def _certify_payload(cert: ShallowCertificate):
-    steps = []
-    rows = []
-    size = len(cert.subject)
-    for index, step in enumerate(cert.steps, start=1):
-        entry = {
-            "step": index,
-            "size": size,
-            "position_of_max": step.position_of_max,
-            "moved_value": step.moved_value,
-            "classification": step.classification.value,
-        }
-        steps.append(entry)
-        rows.append(
-            [index, size, step.position_of_max, step.moved_value, step.classification.value]
-        )
-        size -= 1
+def _cmd_certify(args):
+    cert = certify_shallow(parse_permutation(args.permutation))
+    header = ("step", "size", "position_of_max", "moved_value", "classification")
+    top = len(cert.subject) + 1
+    rows = [
+        [i, top - i, step.position_of_max, step.moved_value, step.classification.value]
+        for i, step in enumerate(cert.steps, start=1)
+    ]
     payload = {
         "subject": format_permutation(cert.subject),
         "verdict": cert.verdict,
-        "steps": steps,
+        "steps": [dict(zip(header, row)) for row in rows],
     }
-    header = ("step", "size", "position_of_max", "moved_value", "classification")
-    return payload, header, rows
+    return (0 if cert.verdict else 1), {"permutation": args.permutation}, payload, header, rows
 
 
-def _cmd_certify(args) -> int:
-    started = time.perf_counter()
-    try:
-        subject = parse_permutation(args.permutation)
-    except (ParseError, NotAPermutation) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    cert = certify_shallow(subject)
-    payload, header, rows = _certify_payload(cert)
-    _emit("certify", {"permutation": args.permutation}, payload, header, rows, args.format, started)
-    return 0 if cert.verdict else 1
-
-
-# ------------------------------------------------------------------------- gf
-
-
-def _gf_payload(expansion, name: str, order: int):
-    if isinstance(expansion, series.RationalSeries):
-        coeffs = [str(series.coefficient(expansion, n)) for n in range(order + 1)]
-        payload = {
-            "name": name,
-            "kind": "univariate",
-            "size_variable": expansion.variable,
-            "order": order,
-            "coefficients": coeffs,
-        }
-        rows = [[n, c] for n, c in enumerate(coeffs)]
-        return payload, ("n", "coefficient"), rows
-    payload = {
-        "name": name,
-        "kind": "bivariate",
-        "size_variable": expansion.size_variable,
-        "statistic_variable": expansion.statistic_variable,
-        "order": order,
-        "rows": [[str(v) for v in row] for row in expansion.rows],
-    }
-    rows = [
-        [n, k, str(v)] for n, row in enumerate(expansion.rows) for k, v in enumerate(row)
-    ]
-    return payload, ("n", "k", "value"), rows
-
-
-def _cmd_gf(args) -> int:
-    started = time.perf_counter()
+def _cmd_gf(args):
     try:
         expansion = series.catalog(args.name, args.order)
     except KeyError as exc:
-        print(f"error: {exc.args[0]}", file=sys.stderr)
-        return 2
-    except OrderExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    payload, header, rows = _gf_payload(expansion, args.name, args.order)
-    _emit("gf", {"name": args.name, "order": args.order}, payload, header, rows, args.format, started)
-    return 0
+        raise ValueError(exc.args[0]) from None
+    payload = {"name": args.name}
+    if isinstance(expansion, series.RationalSeries):
+        coeffs = [str(series.coefficient(expansion, n)) for n in range(args.order + 1)]
+        payload.update(kind="univariate", size_variable=expansion.variable,
+                       order=args.order, coefficients=coeffs)
+        header, rows = ("n", "coefficient"), list(enumerate(coeffs))
+    else:
+        payload.update(kind="bivariate", size_variable=expansion.size_variable,
+                       statistic_variable=expansion.statistic_variable, order=args.order,
+                       rows=[[str(v) for v in row] for row in expansion.rows])
+        header = ("n", "k", "value")
+        rows = [(n, k, v) for n, row in enumerate(payload["rows"]) for k, v in enumerate(row)]
+    return 0, {"name": args.name, "order": args.order}, payload, header, rows
 
 
-# -------------------------------------------------------------------- profile
-
-
-def _profile_payload(pair: ProfilePair):
-    def side(profile_side):
-        return {
-            "descriptor": profile_side.descriptor,
-            "total": str(profile_side.total()),
-            "entries": [
-                {"cycles": c, "statistic": s, "count": str(m)}
-                for (c, s), m in profile_side.counts
-            ],
-        }
-
+def _cmd_profile(args):
+    pair = profile(args.n)
     payload = {
         "n": pair.left.n,
         "note": "exploratory evidence; equality is reported, not asserted",
         "consistent": pair.consistent,
-        "left": side(pair.left),
-        "right": side(pair.right),
     }
-    rows = []
-    for label, prof in (("left", pair.left), ("right", pair.right)):
-        for (c, s), m in prof.counts:
-            rows.append([label, c, s, str(m)])
-    return payload, ("side", "cycles", "statistic", "count"), rows
-
-
-def _cmd_profile(args) -> int:
-    started = time.perf_counter()
-    try:
-        pair = profile(args.n)
-    except SizeCapExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    payload, header, rows = _profile_payload(pair)
-    _emit("profile", {"n": args.n}, payload, header, rows, args.format, started)
-    return 0
+    for side, prof in (("left", pair.left), ("right", pair.right)):
+        payload[side] = {
+            "descriptor": prof.descriptor,
+            "total": str(prof.total()),
+            "entries": [
+                {"cycles": c, "statistic": s, "count": str(m)} for (c, s), m in prof.counts
+            ],
+        }
+    rows = [
+        (side, e["cycles"], e["statistic"], e["count"])
+        for side in ("left", "right")
+        for e in payload[side]["entries"]
+    ]
+    return 0, {"n": args.n}, payload, ("side", "cycles", "statistic", "count"), rows
 
 
 # ---------------------------------------------------------------------- entry
@@ -387,11 +272,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
+    started = time.perf_counter()
     try:
-        return args.func(args)
+        code, parameters, payload, header, rows = args.func(args)
+    except (SizeCapExceeded, OrderExceeded, MethodDisagreement) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    _emit(args.command, parameters, payload, header, rows, args.format, started)
+    return code
 
 
 if __name__ == "__main__":

@@ -67,6 +67,12 @@ class Caps:
     brute_force: int = 10
     constructive: int = 12
 
+    def limit(self, method: Method) -> int:
+        """The largest size `count` accepts under the method."""
+        if method is Method.BOTH:
+            return min(self.brute_force, self.constructive)
+        return self.brute_force if method is Method.BRUTE_FORCE else self.constructive
+
 
 DEFAULT_CAPS = Caps()
 
@@ -167,11 +173,7 @@ def count(query: CountQuery, caps: Caps = DEFAULT_CAPS) -> CountTable:
     and the constructive generator and raises MethodDisagreement if they
     ever differ.
     """
-    limit = {
-        Method.BRUTE_FORCE: caps.brute_force,
-        Method.CONSTRUCTIVE: caps.constructive,
-        Method.BOTH: min(caps.brute_force, caps.constructive),
-    }[query.method]
+    limit = caps.limit(query.method)
     over = [n for n in query.sizes if n > limit]
     if over:
         raise SizeCapExceeded(

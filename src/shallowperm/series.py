@@ -113,12 +113,12 @@ def expand_rational(
     if order < 0:
         raise ValueError("order must be nonnegative")
     rows = _ls_div(
-        [{0: Fraction(c)} if c else {} for c in numerator],
-        [{0: Fraction(c)} if c else {} for c in denominator],
+        [{0: c} if c else {} for c in numerator],
+        [{0: c} if c else {} for c in denominator],
         order,
     )
     return RationalSeries(
-        coefficients=tuple(row.get(0, Fraction(0)) for row in rows),
+        coefficients=tuple(Fraction(row.get(0, 0)) for row in rows),
         variable=variable,
         counting=counting,
         name=name,
@@ -182,9 +182,10 @@ def binomial(n: int, k: int) -> int:
 
 # ---------------------------------------------------------------------------
 # Laurent-coefficient series internals (statistic exponents may go negative
-# while composing, size exponents never do).
+# while composing, size exponents never do). Coefficients stay ints unless a
+# caller divides by a leading coefficient other than +-1.
 
-Laurent = dict[int, Fraction]
+Laurent = dict[int, Union[int, Fraction]]
 _LSeries = list[Laurent]
 
 
@@ -200,7 +201,7 @@ def _ls_add(f: _LSeries, g: _LSeries) -> _LSeries:
     return out
 
 
-def _ls_scale(f: _LSeries, factor: Fraction, stat_shift: int = 0) -> _LSeries:
+def _ls_scale(f: _LSeries, factor: int, stat_shift: int = 0) -> _LSeries:
     return [{e + stat_shift: c * factor for e, c in row.items()} for row in f]
 
 
@@ -222,6 +223,7 @@ def _ls_div(num: _LSeries, den: _LSeries, order: int) -> _LSeries:
             "series division needs a monomial leading coefficient"
         )
     ((lead_exp, lead_coeff),) = lead.items()
+    inverse = lead_coeff if lead_coeff in (1, -1) else 1 / Fraction(lead_coeff)
     out: _LSeries = []
     for n in range(order + 1):
         acc = dict(num[n]) if n < len(num) else {}
@@ -233,12 +235,12 @@ def _ls_div(num: _LSeries, den: _LSeries, order: int) -> _LSeries:
                 for eb, cb in d.items():
                     e = ea + eb
                     acc[e] = acc.get(e, 0) - ca * cb
-        out.append({e - lead_exp: c / lead_coeff for e, c in acc.items() if c})
+        out.append({e - lead_exp: c * inverse for e, c in acc.items() if c})
     return out
 
 
 def _ls_one(order: int) -> _LSeries:
-    return [{0: Fraction(1)}] + [{} for _ in range(order)]
+    return [{0: 1}] + [{} for _ in range(order)]
 
 
 def _rows_to_bivariate(
@@ -255,7 +257,7 @@ def _rows_to_bivariate(
             raise ValueError(f"{name}: statistic degree exceeds size at {n}")
         dense = []
         for k in range(n + 1):
-            c = row.get(k, Fraction(0))
+            c = row.get(k, 0)
             if c.denominator != 1 or c < 0:
                 raise NonIntegerCount(f"{name}: entry ({n},{k}) is {c}")
             dense.append(int(c))
@@ -271,13 +273,13 @@ def _rows_to_bivariate(
 def _leading_pair_231_raw(order: int) -> _LSeries:
     # t^2 x^4 + t x^2 / (1 - xt) + 3 t^3 x^5 / (1 - xt)^2
     one = _ls_one(order)
-    inv_lin = _ls_div(one, [{0: Fraction(1)}, {1: Fraction(-1)}], order)
-    inv_sq = _ls_div(one, [{0: Fraction(1)}, {1: Fraction(-2)}, {2: Fraction(1)}], order)
+    inv_lin = _ls_div(one, [{0: 1}, {1: -1}], order)
+    inv_sq = _ls_div(one, [{0: 1}, {1: -2}, {2: 1}], order)
     quartic: _LSeries = [{} for _ in range(order + 1)]
     if order >= 4:
-        quartic[4] = {2: Fraction(1)}
-    piece2 = _ls_shift_size(_ls_scale(inv_lin, Fraction(1), 1), 2, order)
-    piece3 = _ls_shift_size(_ls_scale(inv_sq, Fraction(3), 3), 5, order)
+        quartic[4] = {2: 1}
+    piece2 = _ls_shift_size(_ls_scale(inv_lin, 1, 1), 2, order)
+    piece3 = _ls_shift_size(_ls_scale(inv_sq, 3, 3), 5, order)
     return _ls_add(_ls_add(quartic, piece2), piece3)
 
 
@@ -286,9 +288,9 @@ def _head_series_231_raw(order: int) -> _LSeries:
     c = _leading_pair_231_raw(order + 1)
     x: _LSeries = [{} for _ in range(order + 1)]
     if order >= 1:
-        x[1] = {0: Fraction(1)}
-    num = _ls_add(_ls_add(x, c[: order + 1]), _ls_scale(c[: order + 1], Fraction(-1), -1))
-    c_over_xt = _ls_scale(_ls_shift_size(c, -1, order), Fraction(-1), -1)
+        x[1] = {0: 1}
+    num = _ls_add(_ls_add(x, c[: order + 1]), _ls_scale(c[: order + 1], -1, -1))
+    c_over_xt = _ls_scale(_ls_shift_size(c, -1, order), -1, -1)
     den = _ls_add(_ls_one(order), c_over_xt)
     return _ls_div(num, den, order)
 
@@ -296,24 +298,13 @@ def _head_series_231_raw(order: int) -> _LSeries:
 def _total_231_raw(order: int) -> _LSeries:
     # T = 1 / (1 - B)
     one = _ls_one(order)
-    one_minus_b = _ls_add(one, _ls_scale(_head_series_231_raw(order), Fraction(-1)))
+    one_minus_b = _ls_add(one, _ls_scale(_head_series_231_raw(order), -1))
     return _ls_div(one, one_minus_b, order)
 
 
 def _a321_raw(order: int) -> _LSeries:
-    one = Fraction(1)
-    num: _LSeries = [
-        {},
-        {0: one},
-        {0: Fraction(-2), 1: one},
-        {0: one, 1: Fraction(-1)},
-    ]
-    den: _LSeries = [
-        {0: one},
-        {0: Fraction(-3)},
-        {0: Fraction(3), 1: Fraction(-2)},
-        {0: Fraction(-1), 1: one},
-    ]
+    num: _LSeries = [{}, {0: 1}, {0: -2, 1: 1}, {0: 1, 1: -1}]
+    den: _LSeries = [{0: 1}, {0: -3}, {0: 3, 1: -2}, {0: -1, 1: 1}]
     return _ls_div(num, den, order)
 
 

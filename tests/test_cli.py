@@ -2,7 +2,9 @@ import csv
 import io
 import json
 
+from shallowperm import cli
 from shallowperm.cli import main
+from shallowperm.enumeration import MethodDisagreement
 
 
 def run(capsys, *argv):
@@ -84,6 +86,25 @@ class TestCount:
     def test_cap_exit_1(self, capsys):
         code, out, err = run(capsys, "count", "--n", "13")
         assert code == 1
+
+    def test_wide_range_rejected_from_its_ends(self, capsys):
+        code, out, err = run(capsys, "count", "--n", "1..1000000000")
+        assert (code, out) == (1, "")
+        assert err == "error: sizes 13..1000000000 beyond the constructive cap 12\n"
+        code, out, err = run(capsys, "count", "--n", "5..1000000000", "--method", "brute")
+        assert err == "error: sizes 11..1000000000 beyond the brute cap 10\n"
+        code, out, err = run(capsys, "count", "--n=-5..1000000000")
+        assert (code, out) == (2, "")
+        assert err == "error: sizes must be nonnegative\n"
+
+    def test_method_disagreement_exit_1(self, capsys, monkeypatch):
+        def disagree(query):
+            raise MethodDisagreement(3, {None: 4}, {None: 5})
+
+        monkeypatch.setattr(cli, "count", disagree)
+        code, out, err = run(capsys, "count", "--n", "3", "--method", "both")
+        assert (code, out) == (1, "")
+        assert err == "error: method disagreement at n=3: brute={None: 4} constructive={None: 5}\n"
 
     def test_bad_flag_exit_2(self, capsys):
         assert main(["count", "--n", "3", "--method", "psychic"]) == 2
