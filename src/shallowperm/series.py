@@ -6,16 +6,11 @@ expansions of rational functions in the size variable. Bivariate series
 track a second statistic (descents); they are stored as one integer row
 per size, entry k counting the permutations with statistic value k.
 
-The bivariate 231 entries are composed by series algebra from the
-leading-pair series C: the defining quotients involve 1/t and 1/(xt)
-factors whose negative powers must cancel, so the intermediate
-coefficients are Laurent polynomials and a final check rejects any
-surviving negative degree.
-
-There is one long division, the Laurent-coefficient `_ls_div`. Every
-quotient in the catalog goes through it, and a univariate series is its
-degree-0 case: `expand_rational` lifts each coefficient to a constant
-Laurent polynomial, divides, and reads degree 0 back.
+Every catalog entry is data: a numerator and a denominator polynomial.
+There is one long division, the Laurent-coefficient `_ls_div`, and it
+expands every entry. A univariate series is its degree-0 case:
+`expand_rational` lifts each coefficient to a constant Laurent
+polynomial, divides, and reads degree 0 back.
 """
 from __future__ import annotations
 
@@ -41,7 +36,7 @@ class NonIntegerCount(ValueError):
 
 
 class NegativeDegreeResidue(ValueError):
-    """Laurent cancellation failed: negative powers survived."""
+    """Negative powers of the statistic survived a bivariate division."""
 
 
 class OutOfDomain(ValueError):
@@ -110,8 +105,6 @@ def expand_rational(
     >>> [int(c) for c in expand_rational([1], [1, -1], 4).coefficients]
     [1, 1, 1, 1, 1]
     """
-    if order < 0:
-        raise ValueError("order must be nonnegative")
     rows = _ls_div(
         [{0: c} if c else {} for c in numerator],
         [{0: c} if c else {} for c in denominator],
@@ -181,42 +174,19 @@ def binomial(n: int, k: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Laurent-coefficient series internals (statistic exponents may go negative
-# while composing, size exponents never do). Coefficients stay ints unless a
-# caller divides by a leading coefficient other than +-1.
+# Series internals: one row per power of the size variable, each row a
+# Laurent polynomial in the statistic (exponent -> coefficient); a
+# denominator led by a power of the statistic shifts the exponents down.
+# Coefficients stay ints unless the leading coefficient is other than +-1.
 
 Laurent = dict[int, Union[int, Fraction]]
-_LSeries = list[Laurent]
+_LSeries = Sequence[Laurent]
 
 
-def _ls_add(f: _LSeries, g: _LSeries) -> _LSeries:
-    out = [dict(row) for row in f] + [{} for _ in range(len(g) - len(f))]
-    for row, other in zip(out, g):
-        for e, c in other.items():
-            total = row.get(e, 0) + c
-            if total:
-                row[e] = total
-            else:
-                row.pop(e, None)
-    return out
-
-
-def _ls_scale(f: _LSeries, factor: int, stat_shift: int = 0) -> _LSeries:
-    return [{e + stat_shift: c * factor for e, c in row.items()} for row in f]
-
-
-def _ls_shift_size(f: _LSeries, delta: int, order: int) -> _LSeries:
-    if delta >= 0:
-        rows = [{} for _ in range(delta)] + [dict(r) for r in f]
-    else:
-        if any(f[i] for i in range(min(-delta, len(f)))):
-            raise NegativeDegreeResidue("size shift would create negative powers")
-        rows = [dict(r) for r in f[-delta:]]
-    return rows[: order + 1]
-
-
-def _ls_div(num: _LSeries, den: _LSeries, order: int) -> _LSeries:
+def _ls_div(num: _LSeries, den: _LSeries, order: int) -> list[Laurent]:
     """The quotient num/den to the order; den[0] must be a single monomial."""
+    if order < 0:
+        raise ValueError("order must be nonnegative")
     lead = den[0] if den else {}
     if len(lead) != 1:
         raise ZeroConstantTerm(
@@ -224,7 +194,7 @@ def _ls_div(num: _LSeries, den: _LSeries, order: int) -> _LSeries:
         )
     ((lead_exp, lead_coeff),) = lead.items()
     inverse = lead_coeff if lead_coeff in (1, -1) else 1 / Fraction(lead_coeff)
-    out: _LSeries = []
+    out: list[Laurent] = []
     for n in range(order + 1):
         acc = dict(num[n]) if n < len(num) else {}
         for i in range(max(0, n - len(den) + 1), n):
@@ -237,10 +207,6 @@ def _ls_div(num: _LSeries, den: _LSeries, order: int) -> _LSeries:
                     acc[e] = acc.get(e, 0) - ca * cb
         out.append({e - lead_exp: c * inverse for e, c in acc.items() if c})
     return out
-
-
-def _ls_one(order: int) -> _LSeries:
-    return [{0: 1}] + [{} for _ in range(order)]
 
 
 def _rows_to_bivariate(
@@ -270,52 +236,6 @@ def _rows_to_bivariate(
     )
 
 
-def _leading_pair_231_raw(order: int) -> _LSeries:
-    # t^2 x^4 + t x^2 / (1 - xt) + 3 t^3 x^5 / (1 - xt)^2
-    one = _ls_one(order)
-    inv_lin = _ls_div(one, [{0: 1}, {1: -1}], order)
-    inv_sq = _ls_div(one, [{0: 1}, {1: -2}, {2: 1}], order)
-    quartic: _LSeries = [{} for _ in range(order + 1)]
-    if order >= 4:
-        quartic[4] = {2: 1}
-    piece2 = _ls_shift_size(_ls_scale(inv_lin, 1, 1), 2, order)
-    piece3 = _ls_shift_size(_ls_scale(inv_sq, 3, 3), 5, order)
-    return _ls_add(_ls_add(quartic, piece2), piece3)
-
-
-def _head_series_231_raw(order: int) -> _LSeries:
-    # B = (x + C - C/t) / (1 - C/(xt)) with the negative powers cancelling.
-    c = _leading_pair_231_raw(order + 1)
-    x: _LSeries = [{} for _ in range(order + 1)]
-    if order >= 1:
-        x[1] = {0: 1}
-    num = _ls_add(_ls_add(x, c[: order + 1]), _ls_scale(c[: order + 1], -1, -1))
-    c_over_xt = _ls_scale(_ls_shift_size(c, -1, order), -1, -1)
-    den = _ls_add(_ls_one(order), c_over_xt)
-    return _ls_div(num, den, order)
-
-
-def _total_231_raw(order: int) -> _LSeries:
-    # T = 1 / (1 - B)
-    one = _ls_one(order)
-    one_minus_b = _ls_add(one, _ls_scale(_head_series_231_raw(order), -1))
-    return _ls_div(one, one_minus_b, order)
-
-
-def _a321_raw(order: int) -> _LSeries:
-    num: _LSeries = [{}, {0: 1}, {0: -2, 1: 1}, {0: 1, 1: -1}]
-    den: _LSeries = [{0: 1}, {0: -3}, {0: 3, 1: -2}, {0: -1, 1: 1}]
-    return _ls_div(num, den, order)
-
-
-def _desc_binom_132_raw(order: int) -> _LSeries:
-    # binomial(2n-2-k, k), with the empty permutation counted at n = 0
-    return [{0: 1}] + [
-        {k: binomial(2 * n - 2 - k, k) for k in range(n + 1)}
-        for n in range(1, order + 1)
-    ]
-
-
 def _poly_mul(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
     out = [0] * (len(a) + len(b) - 1)
     for i, ca in enumerate(a):
@@ -335,88 +255,93 @@ def _poly_pow(a: Sequence[int], e: int) -> tuple[int, ...]:
 # Catalog
 
 
-@dataclass(frozen=True)
+# Compared and hashed by identity, since the bivariate rows are dicts.
+@dataclass(frozen=True, eq=False)
 class CatalogEntry:
+    """
+    A counting series given as numerator / denominator.
+
+    A univariate entry holds int tuples indexed by the power of its size
+    variable. A bivariate entry holds one row per size power, each mapping
+    powers of the statistic variable to coefficients.
+    """
+
     name: str
-    kind: str  # "univariate" or "bivariate"
     description: str
-    size_variable: str
-    statistic_variable: Optional[str]
-    numerator: Optional[tuple[int, ...]]
-    denominator: Optional[tuple[int, ...]]
-    build: Callable[[int], Union[RationalSeries, BivariateSeries]]
+    numerator: Union[tuple[int, ...], tuple[Laurent, ...]]
+    denominator: Union[tuple[int, ...], tuple[Laurent, ...]]
+    size_variable: str = "x"
+    statistic_variable: Optional[str] = None
 
+    @property
+    def kind(self) -> str:
+        return "univariate" if self.statistic_variable is None else "bivariate"
 
-def _univariate(name, description, num, den):
-    num = tuple(num)
-    den = tuple(den)
-
-    def build(order: int) -> RationalSeries:
-        return expand_rational(
-            num, den, order, variable="x", counting=True, name=name
-        )
-
-    return CatalogEntry(
-        name=name,
-        kind="univariate",
-        description=description,
-        size_variable="x",
-        statistic_variable=None,
-        numerator=num,
-        denominator=den,
-        build=build,
-    )
-
-
-def _bivariate(name, description, size_variable, statistic_variable, raw):
-    def build(order: int) -> BivariateSeries:
+    def build(self, order: int) -> Union[RationalSeries, BivariateSeries]:
+        if self.statistic_variable is None:
+            return expand_rational(
+                self.numerator,
+                self.denominator,
+                order,
+                variable=self.size_variable,
+                counting=True,
+                name=self.name,
+            )
         return _rows_to_bivariate(
-            raw(order),
-            size_variable=size_variable,
-            statistic_variable=statistic_variable,
-            name=name,
+            _ls_div(self.numerator, self.denominator, order),
+            size_variable=self.size_variable,
+            statistic_variable=self.statistic_variable,
+            name=self.name,
         )
 
-    return CatalogEntry(
-        name=name,
-        kind="bivariate",
-        description=description,
-        size_variable=size_variable,
-        statistic_variable=statistic_variable,
-        numerator=None,
-        denominator=None,
-        build=build,
-    )
 
+# The 231 descent series, x marking size and t descents. The leading-pair
+# series is C = P/Q with
+#     Q = (1 - xt)^2,    P = t^2 x^4 Q + t x^2 (1 - xt) + 3 t^3 x^5,
+# the head series is B = (x + C - C/t) / (1 - C/(xt)) and the total is
+# T = 1/(1 - B). Clearing the 1/t and 1/(xt) factors gives B = N/D and
+# T = D/(D - N) with
+#     D = tQ - P/x,    N = xtQ + tP - P.
+# D leads with the monomial t, which the division divides out.
+_Q231 = ({0: 1}, {1: -2}, {2: 1})
+_P231 = ({}, {}, {1: 1}, {2: -1}, {2: 1}, {3: 1}, {4: 1})
+_D231 = ({1: 1}, {1: -1, 2: -2}, {2: 1, 3: 1}, {2: -1}, {3: -1}, {4: -1})
+_N231 = (
+    {}, {1: 1}, {1: -1, 2: -1}, {2: 1}, {2: -1, 3: 1}, {3: -1, 4: 1}, {4: -1, 5: 1}
+)
+_D231_MINUS_N231 = (
+    {1: 1}, {1: -2, 2: -2}, {1: 1, 2: 2, 3: 1}, {2: -2}, {2: 1, 3: -2},
+    {3: 1, 4: -2}, {4: 1, 5: -1},
+)
 
 CATALOG: dict[str, CatalogEntry] = {
     entry.name: entry
     for entry in [
-        _univariate(
+        CatalogEntry(
             "T231",
             "shallow 231-avoiding (equivalently 312-avoiding) permutations by size",
             (1, -3, 2, -1, -1, -1),
             (1, -4, 4, -2, -1, -1),
         ),
-        _univariate(
+        CatalogEntry(
             "T123",
             "shallow 123-avoiding permutations by size",
             (1, -3, 0, 11, -13, 7, 6, 3),
             _poly_mul(_poly_pow((1, -1), 4), (1, 0, -4, 0, 1)),
         ),
-        _univariate(
+        CatalogEntry(
             "P132",
             "shallow 132-avoiding persymmetric permutations by size",
             (1, 0, -1, 2),
             _poly_mul((1, -1), (1, 0, -2, 0, -1)),
         ),
-        _univariate(
+        CatalogEntry(
             "P231",
             "shallow 231-avoiding persymmetric permutations by size",
             (-1, -1, 2, 1, -2, -1, 1, 1, 2, 0, 1),
             (-1, 0, 4, 0, -4, 0, 2, 0, 1, 0, 1),
         ),
-        _univariate(
+        CatalogEntry(
             "P123",
             "shallow 123-avoiding persymmetric permutations by size",
             (1, 0, -2, 1, 0, 1, 1),
@@ -424,56 +349,59 @@ CATALOG: dict[str, CatalogEntry] = {
                 _poly_mul(_poly_pow((-1, 1), 2), (1, 1)), (1, 0, -2, 0, -1)
             ),
         ),
-        _univariate(
+        CatalogEntry(
             "FibOdd",
             "odd-indexed Fibonacci numbers F(2n-1); shallow 132-, 213- or "
             "321-avoiding permutations by size",
             (1, -2),
             (1, -3, 1),
         ),
-        _univariate(
+        CatalogEntry(
             "Grassmannian",
             "shallow permutations with at most one descent, by size",
             (1, -3, 4, -1),
             _poly_pow((1, -1), 4),
         ),
-        _bivariate(
+        CatalogEntry(
             "A321xz",
             "shallow 321-avoiding permutations by size (z) and descents (x)",
-            "z",
-            "x",
-            _a321_raw,
+            ({}, {0: 1}, {0: -2, 1: 1}, {0: 1, 1: -1}),
+            ({0: 1}, {0: -3}, {0: 3, 1: -2}, {0: -1, 1: 1}),
+            size_variable="z",
+            statistic_variable="x",
         ),
-        _bivariate(
+        CatalogEntry(
             "C231xt",
             "shallow 231-avoiding permutations starting with the two largest "
             "values in order, by size (x) and descents (t)",
-            "x",
-            "t",
-            _leading_pair_231_raw,
+            _P231,
+            _Q231,
+            statistic_variable="t",
         ),
-        _bivariate(
+        CatalogEntry(
             "B231xt",
             "shallow 231-avoiding permutations starting with the largest "
             "value, by size (x) and descents (t)",
-            "x",
-            "t",
-            _head_series_231_raw,
+            _N231,
+            _D231,
+            statistic_variable="t",
         ),
-        _bivariate(
+        CatalogEntry(
             "T231xt",
             "shallow 231-avoiding permutations by size (x) and descents (t)",
-            "x",
-            "t",
-            _total_231_raw,
+            _D231,
+            _D231_MINUS_N231,
+            statistic_variable="t",
         ),
-        _bivariate(
+        CatalogEntry(
             "DescBinom132",
             "shallow 132-avoiding permutations by size (n) and descents (k): "
             "binomial(2n-2-k, k)",
-            "n",
-            "k",
-            _desc_binom_132_raw,
+            # (1 - 2kn + (k^2 - k) n^2) / (1 - (1 + 2k) n + k^2 n^2)
+            ({0: 1}, {1: -2}, {1: -1, 2: 1}),
+            ({0: 1}, {0: -1, 1: -2}, {2: 1}),
+            size_variable="n",
+            statistic_variable="k",
         ),
     ]
 }

@@ -97,6 +97,23 @@ def test_criterion_7_closure_suites():
     _report("7 closure and property suites", pairs)
 
 
+def _rows_to_order(rows, order):
+    """Rows of statistic-power -> coefficient dicts up to the order, zeros dropped."""
+    padded = list(rows[: order + 1]) + [{}] * (order + 1 - len(rows))
+    return [{e: c for e, c in row.items() if c} for row in padded]
+
+
+def _times_rows(dense_rows, denominator, order):
+    """The product of a bivariate expansion and a denominator, up to the order."""
+    out = [{} for _ in range(order + 1)]
+    for i, row in enumerate(dense_rows):
+        for j, d in enumerate(denominator[: order + 1 - i]):
+            for k, a in enumerate(row):
+                for e, b in d.items():
+                    out[i + j][k + e] = out[i + j].get(k + e, 0) + a * b
+    return _rows_to_order(out, order)
+
+
 def test_criterion_8_series_integrity():
     problems = []
     for name, entry in series.CATALOG.items():
@@ -112,8 +129,12 @@ def test_criterion_8_series_integrity():
             if not all(v.denominator == 1 and v >= 0 for v in values):
                 problems.append(f"{name}: non-integral or negative coefficient")
         else:
-            # Building at order 12 runs the Laurent cancellation check; the
-            # row representation is already integral and nonnegative.
+            # Building at order 12 already rejects negative statistic powers
+            # and non-integral entries; the product must give back the
+            # numerator rows.
+            product = _times_rows(expansion.rows, entry.denominator, 12)
+            if product != _rows_to_order(entry.numerator, 12):
+                problems.append(f"{name}: expansion times denominator != numerator")
             if any(v < 0 for row in expansion.rows for v in row):
                 problems.append(f"{name}: negative entry")
             if len(expansion.rows) != 13:

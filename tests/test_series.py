@@ -219,6 +219,68 @@ class TestBivariateCatalog:
             )
 
 
+# Bivariate polynomials as {(size power, statistic power): coefficient}.
+def _poly(rows):
+    return {(n, e): c for n, row in enumerate(rows) for e, c in row.items() if c}
+
+
+def _term(x_power, t_power, c=1):
+    return {(x_power, t_power): c}
+
+
+def _add(*terms):
+    out = {}
+    for term in terms:
+        for key, c in term.items():
+            out[key] = out.get(key, 0) + c
+    return {key: c for key, c in out.items() if c}
+
+
+def _mul(f, g):
+    terms = (
+        _term(a + c, b + d, u * v)
+        for (a, b), u in f.items()
+        for (c, d), v in g.items()
+    )
+    return _add(*terms)
+
+
+class TestCatalogRows:
+    """The stored 231 rows against the paper's composition of C, B and T."""
+
+    def test_231_rows_follow_from_the_leading_pair_series(self):
+        entries = series.CATALOG
+        p, q = _poly(entries["C231xt"].numerator), _poly(entries["C231xt"].denominator)
+        n, d = _poly(entries["B231xt"].numerator), _poly(entries["B231xt"].denominator)
+        minus_p = _mul(_term(0, 0, -1), p)
+        one_minus_xt = _add(_term(0, 0), _term(1, 1, -1))
+        assert q == _mul(one_minus_xt, one_minus_xt)
+        assert p == _add(
+            _mul(_term(4, 2), q), _mul(_term(2, 1), one_minus_xt), _term(5, 3, 3)
+        )
+        assert n == _add(_mul(_term(1, 1), q), _mul(_term(0, 1), p), minus_p)
+        assert _mul(_term(1, 0), d) == _add(_mul(_term(1, 1), q), minus_p)
+        assert _poly(entries["T231xt"].numerator) == d
+        assert _poly(entries["T231xt"].denominator) == _add(d, _mul(_term(0, 0, -1), n))
+
+    def test_t231xt_at_t_equal_1_is_t231(self):
+        def at_t_1(rows):
+            values = [sum(row.values()) for row in rows]
+            while values and values[-1] == 0:
+                values.pop()
+            return tuple(values)
+
+        bivariate, univariate = series.CATALOG["T231xt"], series.CATALOG["T231"]
+        assert at_t_1(bivariate.numerator) == univariate.numerator
+        assert at_t_1(bivariate.denominator) == univariate.denominator
+
+    def test_desc_binom_132_rows_to_the_cap(self):
+        rows = catalog("DescBinom132", series.ORDER_CAP).rows
+        assert rows[0] == (1,)
+        for n in range(1, series.ORDER_CAP + 1):
+            assert rows[n] == tuple(binomial(2 * n - 2 - k, k) for k in range(n + 1)), n
+
+
 class TestCatalogSurface:
     def test_names(self):
         assert set(catalog_names()) == {
@@ -245,6 +307,11 @@ class TestCatalogSurface:
                 catalog("T231", -1)
             with pytest.raises(OrderExceeded):
                 catalog("T231", series.ORDER_CAP + 1)
+
+    @pytest.mark.parametrize("name", sorted(series.CATALOG))
+    def test_build_rejects_negative_order(self, name):
+        with pytest.raises(ValueError, match="order must be nonnegative"):
+            series.CATALOG[name].build(-1)
 
     def test_variable_roles_present(self):
         for entry in series.CATALOG.values():
