@@ -31,6 +31,7 @@ from typing import Optional, Sequence
 from . import series
 from .enumeration import (
     DEFAULT_CAPS,
+    REFINEMENTS,
     CountQuery,
     Method,
     MethodDisagreement,
@@ -45,12 +46,6 @@ from .shallow import certify_shallow
 from .suites import SUITES, run_suite
 
 SCHEMA_VERSION = "1"
-
-_METHODS = {
-    "brute": Method.BRUTE_FORCE,
-    "constructive": Method.CONSTRUCTIVE,
-    "both": Method.BOTH,
-}
 
 _SYMMETRIES = {
     "inv": SymmetryClass.INVOLUTION,
@@ -109,7 +104,7 @@ def _cmd_count(args):
         specs = tuple(parse_pattern(text) for text in args.avoid or [])
     except ValueError as exc:
         raise ValueError(f"bad pattern: {exc}") from None
-    sizes, method = args.n, _METHODS[args.method]
+    sizes, method = args.n, Method(args.method)
     limit = DEFAULT_CAPS.limit(method)
     # Only the ends of a range wider than the cap are read. A negative
     # range fails in CountQuery on its first size, so its tail is not copied.
@@ -147,16 +142,16 @@ def _cmd_verify(args):
         for p in report.pairs
     ]
     checks = [dict(zip(header, row)) for row in rows]
-    mismatch = report.first_mismatch
+    mismatch = next((check for check in checks if not check["match"]), None)
     payload = {
         "suite": args.suite,
         "max_n": args.max_n,
-        "overall": report.overall,
+        "overall": mismatch is None,
         "checks": checks,
-        "first_mismatch": None if mismatch is None else checks[report.pairs.index(mismatch)],
+        "first_mismatch": mismatch,
     }
     parameters = {"suite": args.suite, "max_n": args.max_n}
-    return (0 if report.overall else 1), parameters, payload, header, rows
+    return (0 if mismatch is None else 1), parameters, payload, header, rows
 
 
 def _cmd_certify(args):
@@ -236,8 +231,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_count.add_argument("--avoid", action="append", metavar="PATTERN",
                          help="pattern word like 132, or named spec 3n12 / u3412; repeatable")
     p_count.add_argument("--symmetry", choices=tuple(_SYMMETRIES))
-    p_count.add_argument("--by", choices=("descents", "cycles", "lrmax"))
-    p_count.add_argument("--method", choices=tuple(_METHODS), default="constructive")
+    p_count.add_argument("--by", choices=tuple(REFINEMENTS))
+    p_count.add_argument("--method", choices=[m.value for m in Method], default="constructive")
     add_format(p_count)
     p_count.set_defaults(func=_cmd_count)
 

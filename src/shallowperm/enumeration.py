@@ -76,7 +76,7 @@ class Caps:
 
 DEFAULT_CAPS = Caps()
 
-_REFINEMENTS: dict[str, Callable[[Perm], int]] = {
+REFINEMENTS: dict[str, Callable[[Perm], int]] = {
     "descents": descent_count,
     "cycles": cycle_count,
     "lrmax": lambda p: sum(lr_max_flags(p)),
@@ -94,9 +94,9 @@ class CountQuery:
     method: Method = Method.CONSTRUCTIVE
 
     def __post_init__(self) -> None:
-        if self.refine_by is not None and self.refine_by not in _REFINEMENTS:
+        if self.refine_by is not None and self.refine_by not in REFINEMENTS:
             raise ValueError(
-                f"refine_by must be one of {sorted(_REFINEMENTS)}, got {self.refine_by!r}"
+                f"refine_by must be one of {sorted(REFINEMENTS)}, got {self.refine_by!r}"
             )
         if any(n < 0 for n in self.sizes):
             raise ValueError("sizes must be nonnegative")
@@ -136,7 +136,7 @@ def _counts_for(n: int, query: CountQuery, method: Method) -> dict[Optional[int]
             raise MethodDisagreement(n, brute, constructive)
         return constructive
     avoid, symmetry = query.avoid, query.symmetry
-    key = _REFINEMENTS[query.refine_by] if query.refine_by else None
+    key = REFINEMENTS[query.refine_by] if query.refine_by else None
     brute_force = method is Method.BRUTE_FORCE
     counts: Counter = Counter()
     for p in all_perms(n) if brute_force else generate_shallow(n):
@@ -224,16 +224,18 @@ class VerificationPair:
 @dataclass(frozen=True)
 class VerificationReport:
     pairs: tuple[VerificationPair, ...]
-    overall: bool
-    first_mismatch: Optional[VerificationPair]
+
+    @property
+    def first_mismatch(self) -> Optional[VerificationPair]:
+        return next((p for p in self.pairs if not p.match), None)
+
+    @property
+    def overall(self) -> bool:
+        return self.first_mismatch is None
 
 
 def report_from_pairs(pairs: Iterable[VerificationPair]) -> VerificationReport:
-    pairs = tuple(pairs)
-    first = next((p for p in pairs if not p.match), None)
-    return VerificationReport(
-        pairs=pairs, overall=first is None, first_mismatch=first
-    )
+    return VerificationReport(tuple(pairs))
 
 
 def oracle_values(oracle: str, order: int, refined: bool = False) -> Callable[..., int]:

@@ -64,14 +64,6 @@ class PatternSpec:
             if a is Anchor.POS_LAST and i != len(anchors) - 1:
                 raise ValueError("pos_last anchor only on the last letter")
 
-    def describe(self) -> str:
-        if all(a is None for a in self.anchors):
-            return "".join(str(v) for v in self.pattern)
-        parts = []
-        for v, a in zip(self.pattern, self.anchors):
-            parts.append(str(v) if a is None else f"{v}[{a.value}]")
-        return " ".join(parts)
-
     @cached_property
     def _kernel(self) -> Optional[Callable[[Perm], bool]]:
         """The linear-time avoidance test of this spec, if it has one.
@@ -138,30 +130,25 @@ def occurrence_matches(host: Perm, spec: PatternSpec, indices: tuple[int, ...]) 
     return True
 
 
+# The 0-based host position each anchor pins its letter to.
+_ANCHOR_SLOTS: dict[Anchor, Callable[[Perm], int]] = {
+    Anchor.VALUE_MAX: lambda host: host.index(len(host)),
+    Anchor.VALUE_MIN: lambda host: host.index(1),
+    Anchor.POS_FIRST: lambda host: 0,
+    Anchor.POS_LAST: lambda host: len(host) - 1,
+}
+
+
 def find_occurrence(host: Perm, spec: PatternSpec) -> Optional[tuple[int, ...]]:
     """
     The lexicographically least occurrence of spec in host, as a tuple of
     1-based indices, or None when host avoids the spec.
     """
-    patt = spec.pattern
+    patt, anchors = spec.pattern, spec.anchors
     m = len(patt)
     n = len(host)
-    if m == 0:
-        return ()
     if m > n:
         return None
-
-    # Precompute the candidate positions each anchored letter may occupy.
-    fixed: list[Optional[int]] = [None] * m
-    for i, anchor in enumerate(spec.anchors):
-        if anchor is Anchor.VALUE_MAX:
-            fixed[i] = host.index(n)
-        elif anchor is Anchor.VALUE_MIN:
-            fixed[i] = host.index(1)
-        elif anchor is Anchor.POS_FIRST:
-            fixed[i] = 0
-        elif anchor is Anchor.POS_LAST:
-            fixed[i] = n - 1
 
     chosen: list[int] = []
 
@@ -175,17 +162,13 @@ def find_occurrence(host: Perm, spec: PatternSpec) -> Optional[tuple[int, ...]]:
     def search(letter: int, start: int) -> Optional[tuple[int, ...]]:
         if letter == m:
             return tuple(pos + 1 for pos in chosen)
-        if fixed[letter] is not None:
-            pos = fixed[letter]
-            if pos < start or pos > n - (m - letter):
-                return None
-            if not fits(letter, pos):
-                return None
-            chosen.append(pos)
-            found = search(letter + 1, pos + 1)
-            chosen.pop()
-            return found
-        for pos in range(start, n - (m - letter) + 1):
+        # Leave room for the letters after this one. An anchor narrows the
+        # candidates to its one slot, or to none when that is out of range.
+        positions = range(start, n - (m - letter) + 1)
+        if anchors[letter] is not None:
+            slot = _ANCHOR_SLOTS[anchors[letter]](host)
+            positions = (slot,) if slot in positions else ()
+        for pos in positions:
             if not fits(letter, pos):
                 continue
             chosen.append(pos)

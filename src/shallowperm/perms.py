@@ -170,11 +170,6 @@ def cycle_count(p: Perm) -> int:
     return count
 
 
-def reflection_length(p: Perm) -> int:
-    """Minimal number of transpositions producing p: n minus cycle count."""
-    return len(p) - cycle_count(p)
-
-
 def descent_count(p: Perm) -> int:
     """Number of positions i with p_i > p_{i+1}."""
     return sum(1 for a, b in zip(p, p[1:]) if a > b)

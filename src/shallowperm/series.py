@@ -18,6 +18,7 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Callable, Optional, Sequence, Union
 
 ORDER_CAP = 64
@@ -255,15 +256,15 @@ def _poly_pow(a: Sequence[int], e: int) -> tuple[int, ...]:
 # Catalog
 
 
-# Compared and hashed by identity, since the bivariate rows are dicts.
+# Compared and hashed by identity, since the bivariate rows are mappings.
 @dataclass(frozen=True, eq=False)
 class CatalogEntry:
     """
     A counting series given as numerator / denominator.
 
     A univariate entry holds int tuples indexed by the power of its size
-    variable. A bivariate entry holds one row per size power, each mapping
-    powers of the statistic variable to coefficients.
+    variable. A bivariate entry holds one read-only row per size power,
+    each mapping powers of the statistic variable to coefficients.
     """
 
     name: str
@@ -272,6 +273,12 @@ class CatalogEntry:
     denominator: Union[tuple[int, ...], tuple[Laurent, ...]]
     size_variable: str = "x"
     statistic_variable: Optional[str] = None
+
+    def __post_init__(self) -> None:
+        if self.statistic_variable is not None:
+            for side in ("numerator", "denominator"):
+                rows = tuple(MappingProxyType(dict(row)) for row in getattr(self, side))
+                object.__setattr__(self, side, rows)
 
     @property
     def kind(self) -> str:
@@ -441,26 +448,18 @@ def _grid(n: int) -> int:
     return n * n // 4 + 1
 
 
-_CLOSED_FORM_FUNCS: dict[str, tuple[int, Callable[[int], int], str]] = {
-    "132_involutions": (1, lambda n: fibonacci(n + 1), "F(n+1)"),
-    "132_centrosymmetric": (1, lambda n: (n + 2) // 2, "ceil((n+1)/2)"),
-    "231_involutions": (1, lambda n: 2 ** (n - 1), "2^(n-1)"),
-    "231_centrosymmetric": (1, lambda n: 2 ** (n // 2), "2^floor(n/2)"),
-    "231_leading_pair": (5, lambda n: 3 * n - 11, "3n-11"),
-    "123_involutions": (1, _grid, "floor(n^2/4)+1"),
-    "123_centrosymmetric": (
-        1,
-        lambda n: _grid(n) if n % 2 == 0 else 1,
-        "n^2/4+1 for even n, 1 for odd n",
-    ),
-    "321_total": (1, lambda n: fibonacci(2 * n - 1), "F(2n-1)"),
-    "321_involutions": (1, lambda n: fibonacci(n + 1), "F(n+1)"),
-    "321_centrosymmetric": (
-        1,
-        lambda n: fibonacci(n + 1) if n % 2 == 0 else fibonacci(n - 2),
-        "F(n+1) for even n, F(n-2) for odd n",
-    ),
-    "321_persymmetric": (1, lambda n: fibonacci(n + 1), "F(n+1)"),
+_CLOSED_FORM_FUNCS: dict[str, tuple[int, Callable[[int], int]]] = {
+    "132_involutions": (1, lambda n: fibonacci(n + 1)),
+    "132_centrosymmetric": (1, lambda n: (n + 2) // 2),
+    "231_involutions": (1, lambda n: 2 ** (n - 1)),
+    "231_centrosymmetric": (1, lambda n: 2 ** (n // 2)),
+    "231_leading_pair": (5, lambda n: 3 * n - 11),
+    "123_involutions": (1, _grid),
+    "123_centrosymmetric": (1, lambda n: _grid(n) if n % 2 == 0 else 1),
+    "321_total": (1, lambda n: fibonacci(2 * n - 1)),
+    "321_involutions": (1, lambda n: fibonacci(n + 1)),
+    "321_centrosymmetric": (1, lambda n: fibonacci(n + 1) if n % 2 == 0 else fibonacci(n - 2)),
+    "321_persymmetric": (1, lambda n: fibonacci(n + 1)),
 }
 
 CLOSED_FORMS = tuple(_CLOSED_FORM_FUNCS)
@@ -477,7 +476,7 @@ def closed_form(family: str, n: int) -> int:
     """
     if family not in _CLOSED_FORM_FUNCS:
         raise KeyError(f"unknown closed form {family!r}; see CLOSED_FORMS")
-    min_n, func, _ = _CLOSED_FORM_FUNCS[family]
+    min_n, func = _CLOSED_FORM_FUNCS[family]
     if n < min_n:
         raise OutOfDomain(f"{family} is stated for n >= {min_n}, got {n}")
     return func(n)

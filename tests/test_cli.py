@@ -2,9 +2,9 @@ import csv
 import io
 import json
 
-from shallowperm import cli
+from shallowperm import cli, suites
 from shallowperm.cli import main
-from shallowperm.enumeration import MethodDisagreement
+from shallowperm.enumeration import MethodDisagreement, VerificationPair
 
 
 def run(capsys, *argv):
@@ -178,6 +178,30 @@ class TestVerify:
         labels = [c["check"] for c in doc["payload"]["checks"]]
         assert any("t_n(132)" in label for label in labels)
         assert any("brute vs constructive" in label for label in labels)
+
+    def test_failing_suite_reports_first_mismatch(self, capsys, monkeypatch):
+        def check(max_n, caps):
+            return [VerificationPair("good", 3, 5, 5), VerificationPair("bad", 4, 7, 8, 1)]
+
+        monkeypatch.setitem(suites.SUITES, "mesh", (check,))
+        code, doc = run_json(capsys, "verify", "--suite", "mesh")
+        assert code == 1
+        payload = doc["payload"]
+        assert payload["overall"] is False
+        assert [c["check"] for c in payload["checks"]] == ["good", "bad"]
+        assert payload["first_mismatch"] == {
+            "check": "bad", "n": 4, "k": 1, "observed": "7", "expected": "8", "match": False
+        }
+        code, out, _ = run(capsys, "verify", "--suite", "mesh", "--format", "csv")
+        assert code == 1
+        assert out.splitlines() == [
+            "check,n,k,observed,expected,match", "good,3,,5,5,True", "bad,4,1,7,8,False"
+        ]
+        code, out, _ = run(capsys, "verify", "--suite", "mesh", "--format", "md")
+        assert code == 1
+        assert out.splitlines()[2:] == [
+            "| good | 3 |  | 5 | 5 | True |", "| bad | 4 | 1 | 7 | 8 | False |"
+        ]
 
     def test_unknown_suite_exit_2(self, capsys):
         assert main(["verify", "--suite", "everything"]) == 2

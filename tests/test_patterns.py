@@ -32,6 +32,17 @@ def brute_least_occurrence(host, spec):
     return None
 
 
+def accepted_specs(max_length):
+    """Every spec PatternSpec accepts with a pattern of at most max_length letters."""
+    for m in range(max_length + 1):
+        for word in all_perms(m):
+            for anchors in itertools.product((None, *Anchor), repeat=m):
+                try:
+                    yield PatternSpec(word, anchors)
+                except ValueError:
+                    pass
+
+
 CATALAN = [1, 1, 2, 5, 14, 42, 132, 429, 1430]
 
 
@@ -95,16 +106,15 @@ class TestFindOccurrence:
         assert find_occurrence((1,), classical((1, 2))) is None
 
     def test_lex_least_matches_oracle_everywhere(self):
-        specs = [
-            classical((1, 3, 2)),
-            classical((3, 2, 1)),
-            classical((3, 4, 1, 2)),
-            VALUE_ANCHORED_3412,
-            POSITION_ANCHORED_3412,
-        ]
-        for p in all_perms(5):
-            for spec in specs:
-                assert find_occurrence(p, spec) == brute_least_occurrence(p, spec)
+        # Every anchor placement up to length 3 (the empty spec, 5 of length
+        # 1, 2 x 14 of length 2 and 6 x 30 of length 3) and the 3412 specs.
+        specs = list(accepted_specs(3))
+        assert len(specs) == 214
+        specs += [classical((3, 4, 1, 2)), VALUE_ANCHORED_3412, POSITION_ANCHORED_3412]
+        for n in range(6):
+            for p in all_perms(n):
+                for spec in specs:
+                    assert find_occurrence(p, spec) == brute_least_occurrence(p, spec), (p, spec)
 
 
 class TestAvoids:

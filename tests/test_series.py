@@ -313,6 +313,14 @@ class TestCatalogSurface:
         with pytest.raises(ValueError, match="order must be nonnegative"):
             series.CATALOG[name].build(-1)
 
+    def test_bivariate_rows_are_read_only(self):
+        bivariate = [e for e in series.CATALOG.values() if e.kind == "bivariate"]
+        assert len(bivariate) == 5
+        for entry in bivariate:
+            for row in entry.numerator + entry.denominator:
+                with pytest.raises(TypeError):
+                    row[1] = 7
+
     def test_variable_roles_present(self):
         for entry in series.CATALOG.values():
             assert entry.size_variable
