@@ -13,6 +13,7 @@ import time
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 from typing import Callable, Iterable, Iterator, Optional
 
 from . import series
@@ -135,19 +136,18 @@ def _counts_for(n: int, query: CountQuery, method: Method) -> dict[Optional[int]
         if brute != constructive:
             raise MethodDisagreement(n, brute, constructive)
         return constructive
-    avoid, symmetry = query.avoid, query.symmetry
-    key = REFINEMENTS[query.refine_by] if query.refine_by else None
     brute_force = method is Method.BRUTE_FORCE
-    counts: Counter = Counter()
-    for p in all_perms(n) if brute_force else generate_shallow(n):
-        if symmetry is not None and not is_in_class(p, symmetry):
-            continue
-        if brute_force and not is_shallow(p):
-            continue
-        if avoid and not avoids(p, avoid):
-            continue
-        counts[key(p) if key else None] += 1
-    return dict(counts)
+    stream: Iterable[Perm] = all_perms(n) if brute_force else generate_shallow(n)
+    if query.symmetry is not None:
+        stream = filter(partial(is_in_class, cls=query.symmetry), stream)
+    if brute_force:
+        stream = filter(is_shallow, stream)
+    if query.avoid:
+        stream = filter(partial(avoids, specs=query.avoid), stream)
+    if query.refine_by is None:
+        total = sum(1 for _ in stream)
+        return {None: total} if total else {}
+    return dict(Counter(map(REFINEMENTS[query.refine_by], stream)))
 
 
 def _rows(

@@ -15,6 +15,7 @@ from __future__ import annotations
 import re
 from bisect import bisect_right, insort
 from enum import Enum
+from operator import sub
 from typing import Iterable, NamedTuple, Sequence
 
 Perm = tuple[int, ...]
@@ -135,7 +136,7 @@ class StatVector(NamedTuple):
 
 def total_displacement(p: Perm) -> int:
     """Sum of |p_i - i| over all positions (Spearman's disarray)."""
-    return sum(abs(v - i) for i, v in enumerate(p, start=1))
+    return sum(map(abs, map(sub, p, range(1, len(p) + 1))))
 
 
 def inversion_count(p: Perm) -> int:

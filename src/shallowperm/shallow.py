@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .perms import (
     Perm,
@@ -47,17 +47,20 @@ def achieves_upper_bound(p: Perm) -> bool:
     return total_displacement(p) == 2 * inversion_count(p)
 
 
-def _reduce(p: Perm) -> tuple[int, int | None, Perm]:
+def _reduce(w: list[int]) -> tuple[int, int | None]:
     """
-    One right-operator step on a word of size >= 2: the 0-based slot of
-    the maximum, the value moved into it (None when the maximum was last),
-    and the smaller word.
+    One right-operator step, in place, on a word list of size >= 2: pop the
+    last entry and, unless it was the maximum, write it into the maximum's
+    slot. Returns that 0-based slot and the value moved into it (None when
+    the maximum was last).
     """
-    n = len(p)
-    if p[-1] == n:
-        return n - 1, None, p[:-1]
-    j = p.index(n)
-    return j, p[-1], p[:j] + (p[-1],) + p[j + 1:-1]
+    n = len(w)
+    last = w.pop()
+    if last == n:
+        return n - 1, None
+    j = w.index(n)
+    w[j] = last
+    return j, last
 
 
 def _extend(t: Perm, i: int | None) -> Perm:
@@ -69,7 +72,9 @@ def _extend(t: Perm, i: int | None) -> Perm:
     m = len(t) + 1
     if i is None:
         return t + (m,)
-    return t[:i] + (m,) + t[i + 1:] + (t[i],)
+    child = [*t, t[i]]
+    child[i] = m
+    return tuple(child)
 
 
 def r_operator(p: Perm) -> Perm:
@@ -84,7 +89,9 @@ def r_operator(p: Perm) -> Perm:
     """
     if len(p) < 2:
         raise SizeTooSmall("need at least 2 entries")
-    return _reduce(p)[2]
+    w = list(p)
+    _reduce(w)
+    return tuple(w)
 
 
 def l_operator(p: Perm) -> Perm:
@@ -113,13 +120,19 @@ class StepKind(Enum):
     VIOLATION = "violation"
 
 
-@dataclass(frozen=True)
-class ReductionStep:
+_APPENDED_MAX = StepKind.APPENDED_MAX
+_LEFT_TO_RIGHT_MAX = StepKind.LEFT_TO_RIGHT_MAX
+_RIGHT_TO_LEFT_MIN = StepKind.RIGHT_TO_LEFT_MIN
+_VIOLATION = StepKind.VIOLATION
+
+
+class ReductionStep(NamedTuple):
     """One application of the right operator.
 
     position_of_max is the 1-based slot of the largest value before the
     step; moved_value is the entry relocated into that slot, or None when
-    the maximum was simply dropped from the end.
+    the maximum was simply dropped from the end. A step is a named tuple,
+    so it also compares equal to the plain 3-tuple of its fields.
     """
 
     position_of_max: int
@@ -151,17 +164,17 @@ def certify_shallow(p: Perm) -> ShallowCertificate:
     """
     steps: list[ReductionStep] = []
     verdict = True
-    current = p
-    while len(current) >= 2:
-        j, moved, current = _reduce(current)
+    w = list(p)
+    while len(w) >= 2:
+        j, moved = _reduce(w)
         if moved is None:
-            kind = StepKind.APPENDED_MAX
-        elif j == 0 or max(current[:j]) < moved:
-            kind = StepKind.LEFT_TO_RIGHT_MAX
-        elif j == len(current) - 1 or min(current[j + 1:]) > moved:
-            kind = StepKind.RIGHT_TO_LEFT_MIN
+            kind = _APPENDED_MAX
+        elif j == 0 or max(w[:j]) < moved:
+            kind = _LEFT_TO_RIGHT_MAX
+        elif j == len(w) - 1 or min(w[j + 1:]) > moved:
+            kind = _RIGHT_TO_LEFT_MIN
         else:
-            kind = StepKind.VIOLATION
+            kind = _VIOLATION
             verdict = False
         steps.append(ReductionStep(j + 1, moved, kind))
     return ShallowCertificate(subject=p, steps=tuple(steps), verdict=verdict)
@@ -225,13 +238,27 @@ def replay_certificate(cert: ShallowCertificate) -> Perm:
 
 
 def _children(t: Perm) -> Iterator[Perm]:
-    """All words one size larger that reduce to t, each exactly once."""
+    """
+    All words one size larger that reduce to t, each exactly once.
+
+    One left-to-right pass finds the legal slots: t[i] is a left-to-right
+    maximum when it exceeds every entry before it, and a right-to-left
+    minimum when it is the least value that t[:i] lacks.
+    """
     yield _extend(t, None)
-    lr = lr_max_flags(t)
-    rl = rl_min_flags(t)
-    for i in range(len(t)):
-        if lr[i] or rl[i]:
-            yield _extend(t, i)
+    seen = [False] * (len(t) + 2)
+    top = 0  # max(t[:i])
+    least = 1  # min of the values missing from t[:i]
+    for i, v in enumerate(t):
+        seen[v] = True
+        if v == least:
+            while seen[least]:
+                least += 1
+        elif v < top:
+            continue
+        if v > top:
+            top = v
+        yield _extend(t, i)
 
 
 def generate_shallow(n: int) -> Iterator[Perm]:

@@ -1,9 +1,12 @@
 import dataclasses
+import itertools
+from collections import Counter
 
 import pytest
 
 from shallowperm import enumeration
 from shallowperm.enumeration import (
+    REFINEMENTS,
     Caps,
     CountQuery,
     CountTable,
@@ -23,8 +26,9 @@ from shallowperm.patterns import (
     VALUE_ANCHORED_3412,
     avoids,
     classical,
+    find_occurrence,
 )
-from shallowperm.perms import SymmetryClass
+from shallowperm.perms import SymmetryClass, SymmetryKind, apply_symmetry
 from shallowperm.shallow import is_shallow
 
 P132 = classical((1, 3, 2))
@@ -33,8 +37,36 @@ P321 = classical((3, 2, 1))
 P123 = classical((1, 2, 3))
 
 
+# The symmetry whose fixed points make up each class.
+CLASS_KIND = {
+    SymmetryClass.INVOLUTION: SymmetryKind.INVERSE,
+    SymmetryClass.CENTROSYMMETRIC: SymmetryKind.REVERSE_COMPLEMENT,
+    SymmetryClass.PERSYMMETRIC: SymmetryKind.REVERSE_COMPLEMENT_INVERSE,
+}
+
+
 def totals(table):
     return {row.n: row.count for row in table.rows}
+
+
+def reference_rows(query):
+    """count's rows as {(n, k): count}, from a loop over all of S_n."""
+    rows = {}
+    for n in query.sizes:
+        tally = Counter()
+        for p in itertools.permutations(range(1, n + 1)):
+            if not is_shallow(p):
+                continue
+            if query.symmetry and p != apply_symmetry(p, CLASS_KIND[query.symmetry]):
+                continue
+            if any(find_occurrence(p, spec) is not None for spec in query.avoid):
+                continue
+            tally[REFINEMENTS[query.refine_by](p) if query.refine_by else None] += 1
+        if query.refine_by is None:
+            rows[(n, None)] = tally[None]
+        else:
+            rows.update(((n, k), c) for k, c in tally.items())
+    return rows
 
 
 class TestCount:
@@ -140,6 +172,20 @@ class TestCount:
         keys = [(row.n, row.k) for row in table.rows]
         assert keys == sorted(keys)
         assert all(row.elapsed >= 0 for row in table.rows)
+
+    def test_every_filter_combination_matches_a_loop_over_s_n(self):
+        avoid_sets = ((), (P132,), (VALUE_ANCHORED_3412, POSITION_ANCHORED_3412))
+        for symmetry, avoid, refine_by in itertools.product(
+            (None, *SymmetryClass), avoid_sets, (None, *REFINEMENTS)
+        ):
+            query = CountQuery(
+                sizes=tuple(range(7)), avoid=avoid, symmetry=symmetry, refine_by=refine_by
+            )
+            expected = reference_rows(query)
+            for method in Method:
+                table = count(dataclasses.replace(query, method=method))
+                got = {(row.n, row.k): row.count for row in table.rows}
+                assert got == expected, (method, symmetry, avoid, refine_by)
 
     def test_method_disagreement_payload(self):
         exc = MethodDisagreement(3, {None: 5}, {None: 6})

@@ -1,4 +1,5 @@
 import itertools
+import random
 import tracemalloc
 
 import pytest
@@ -17,6 +18,7 @@ from shallowperm.perms import (
 )
 from shallowperm.shallow import (
     IllegalSlot,
+    ReductionStep,
     SizeTooSmall,
     StepKind,
     achieves_upper_bound,
@@ -37,6 +39,38 @@ def all_perms(n):
 
 def brute_shallow(n):
     return {p for p in all_perms(n) if is_shallow(p)}
+
+
+def reference_certificate(p):
+    """certify_shallow's steps, from one r_operator call per step and the
+    extreme-entry flags of the word each step leaves."""
+    steps = []
+    current = p
+    while len(current) >= 2:
+        n = len(current)
+        j = current.index(n)
+        moved = None if current[-1] == n else current[-1]
+        current = r_operator(current)
+        if moved is None:
+            kind = StepKind.APPENDED_MAX
+        elif lr_max_flags(current)[j]:
+            kind = StepKind.LEFT_TO_RIGHT_MAX
+        elif rl_min_flags(current)[j]:
+            kind = StepKind.RIGHT_TO_LEFT_MIN
+        else:
+            kind = StepKind.VIOLATION
+        steps.append((j + 1, moved, kind))
+    return tuple(steps)
+
+
+def random_walk(rng, n):
+    """A shallow word of size n grown by random legal extend_right steps."""
+    t = (1,)
+    while len(t) < n:
+        lr, rl = lr_max_flags(t), rl_min_flags(t)
+        slots = [None] + [i + 1 for i in range(len(t)) if lr[i] or rl[i]]
+        t = extend_right(t, rng.choice(slots))
+    return t
 
 
 def level_by_level(n):
@@ -167,23 +201,29 @@ class TestCertificates:
                     step.classification is StepKind.APPENDED_MAX
                 )
 
+    def test_large_words_match_the_definitions(self):
+        rng = random.Random(20240611)
+        sizes = [10, 17, 30, 55, 100, 180, 320, 500]
+        words = [random_walk(rng, n) for n in sizes]
+        words += [tuple(rng.sample(range(1, n + 1), n)) for n in sizes]
+        for p in words:
+            cert = certify_shallow(p)
+            assert cert.steps == reference_certificate(p), p
+            assert replay_certificate(cert) == p
+            assert cert.verdict == is_shallow(p)
+        assert all(certify_shallow(p).verdict for p in words[: len(sizes)])
+
+    def test_steps_are_hashable_and_read_only(self):
+        step = certify_shallow((4, 2, 1, 6, 3, 5)).steps[0]
+        assert step == ReductionStep(4, 5, StepKind.LEFT_TO_RIGHT_MAX)
+        assert hash(step) == hash((4, 5, StepKind.LEFT_TO_RIGHT_MAX))
+        with pytest.raises(AttributeError):
+            step.moved_value = 3
+
     def test_step_kinds_match_flag_definitions(self):
-        # Each step's kind, read off the flags of the word it leaves.
         for n in range(8):
             for p in all_perms(n):
-                current = p
-                for step in certify_shallow(p).steps:
-                    current = r_operator(current)
-                    j = step.position_of_max - 1
-                    if step.moved_value is None:
-                        expected = StepKind.APPENDED_MAX
-                    elif lr_max_flags(current)[j]:
-                        expected = StepKind.LEFT_TO_RIGHT_MAX
-                    elif rl_min_flags(current)[j]:
-                        expected = StepKind.RIGHT_TO_LEFT_MIN
-                    else:
-                        expected = StepKind.VIOLATION
-                    assert step.classification is expected, (p, step)
+                assert certify_shallow(p).steps == reference_certificate(p), p
 
 
 class TestExtension:
@@ -247,6 +287,15 @@ class TestGenerator:
     def test_order_matches_level_by_level(self):
         for n in range(10):
             assert list(generate_shallow(n)) == level_by_level(n), n
+
+    def test_slot_scan_matches_the_flags(self):
+        for n in range(9):
+            for t in all_perms(n):
+                lr, rl = lr_max_flags(t), rl_min_flags(t)
+                expected = [shallow._extend(t, None)] + [
+                    shallow._extend(t, i) for i in range(n) if lr[i] or rl[i]
+                ]
+                assert list(shallow._children(t)) == expected, t
 
     def test_memory_does_not_grow_with_class_size(self):
         tracemalloc.start()
