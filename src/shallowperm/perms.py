@@ -13,9 +13,8 @@ accepted on input when every value is a single digit.
 from __future__ import annotations
 
 import re
-from bisect import bisect_right, insort
 from enum import Enum
-from operator import sub
+from operator import gt, sub
 from typing import Iterable, NamedTuple, Sequence
 
 Perm = tuple[int, ...]
@@ -143,17 +142,18 @@ def inversion_count(p: Perm) -> int:
     """
     Number of pairs i < j with p_i > p_j.
 
-    Each entry adds the number of earlier entries above it, found by
-    binary search in a sorted list of the entries seen so far.
+    Each entry adds the number of earlier entries above it: bit v of the
+    int ``seen`` is set once the value v has been seen, so those entries
+    are the set bits of ``seen >> v``.
 
     >>> inversion_count((3, 2, 1))
     3
     """
-    seen: list[int] = []
+    seen = 0
     total = 0
-    for i, v in enumerate(p):
-        total += i - bisect_right(seen, v)
-        insort(seen, v)
+    for v in p:
+        total += (seen >> v).bit_count()
+        seen |= 1 << v
     return total
 
 
@@ -173,7 +173,7 @@ def cycle_count(p: Perm) -> int:
 
 def descent_count(p: Perm) -> int:
     """Number of positions i with p_i > p_{i+1}."""
-    return sum(1 for a, b in zip(p, p[1:]) if a > b)
+    return sum(map(gt, p, p[1:]))
 
 
 def lr_max_flags(p: Perm) -> tuple[bool, ...]:

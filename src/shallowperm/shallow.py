@@ -12,7 +12,6 @@ generates every shallow permutation of the next size exactly once.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator, NamedTuple
 
@@ -20,9 +19,7 @@ from .perms import (
     Perm,
     cycle_count,
     inversion_count,
-    lr_max_flags,
     reduce_word,
-    rl_min_flags,
     total_displacement,
 )
 
@@ -140,13 +137,35 @@ class ReductionStep(NamedTuple):
     classification: StepKind
 
 
-@dataclass(frozen=True)
-class ShallowCertificate:
-    """A replayable trace of right-operator reductions down to size <= 1."""
+class ShallowCertificate(NamedTuple):
+    """A replayable trace of right-operator reductions down to size <= 1.
+
+    Like a step, a certificate is a named tuple: read-only, hashable, and
+    equal to the plain 3-tuple of its fields.
+    """
 
     subject: Perm
     steps: tuple[ReductionStep, ...]
     verdict: bool
+
+
+# Builds a step or a certificate from a tuple of its fields, without the
+# argument handling of the named tuple's own __new__.
+_new = tuple.__new__
+
+
+def _slot_kind(w: list[int] | Perm, j: int) -> StepKind:
+    """
+    How the entry at the 0-based slot j stands in w: a left-to-right
+    maximum (tested first, so an entry that is both kinds counts as one),
+    else a right-to-left minimum, else neither (VIOLATION).
+    """
+    v = w[j]
+    if j == 0 or max(w[:j]) < v:
+        return _LEFT_TO_RIGHT_MAX
+    if j == len(w) - 1 or min(w[j + 1:]) > v:
+        return _RIGHT_TO_LEFT_MIN
+    return _VIOLATION
 
 
 def certify_shallow(p: Perm) -> ShallowCertificate:
@@ -169,15 +188,12 @@ def certify_shallow(p: Perm) -> ShallowCertificate:
         j, moved = _reduce(w)
         if moved is None:
             kind = _APPENDED_MAX
-        elif j == 0 or max(w[:j]) < moved:
-            kind = _LEFT_TO_RIGHT_MAX
-        elif j == len(w) - 1 or min(w[j + 1:]) > moved:
-            kind = _RIGHT_TO_LEFT_MIN
         else:
-            kind = _VIOLATION
-            verdict = False
-        steps.append(ReductionStep(j + 1, moved, kind))
-    return ShallowCertificate(subject=p, steps=tuple(steps), verdict=verdict)
+            kind = _slot_kind(w, j)
+            if kind is _VIOLATION:
+                verdict = False
+        steps.append(_new(ReductionStep, (j + 1, moved, kind)))
+    return _new(ShallowCertificate, (p, tuple(steps), verdict))
 
 
 def extend_right(t: Perm, position: int | None = None) -> Perm:
@@ -198,7 +214,7 @@ def extend_right(t: Perm, position: int | None = None) -> Perm:
     if not 1 <= position <= len(t):
         raise IllegalSlot(f"position {position} outside 1..{len(t)}")
     i = position - 1
-    if not (lr_max_flags(t)[i] or rl_min_flags(t)[i]):
+    if _slot_kind(t, i) is _VIOLATION:
         v = t[i]
         larger_before = max(t[:i])
         smaller_after = min(t[i + 1:])

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import example, given
@@ -12,7 +13,9 @@ from shallowperm.perms import (
     SymmetryClass,
     SymmetryKind,
     apply_symmetry,
+    cycle_count,
     decreasing,
+    descent_count,
     direct_sum,
     format_permutation,
     identity,
@@ -32,6 +35,42 @@ from shallowperm.perms import (
 
 def all_perms(n):
     return itertools.permutations(range(1, n + 1))
+
+
+words_up_to_500 = (
+    st.integers(0, 500).flatmap(lambda n: st.permutations(range(1, n + 1))).map(tuple)
+)
+
+
+def with_long_words(test):
+    """Add a decreasing and a seeded random word of each size around and
+    past one 64-bit word as explicit examples."""
+    for n in (63, 64, 65, 128, 500):
+        test = example(decreasing(n))(test)
+        test = example(tuple(random.Random(n).sample(range(1, n + 1), n)))(test)
+    return test
+
+
+def pair_inversions(p):
+    n = len(p)
+    return sum(1 for i in range(n) for j in range(i + 1, n) if p[i] > p[j])
+
+
+def adjacent_descents(p):
+    return sum(1 for i in range(len(p) - 1) if p[i] > p[i + 1])
+
+
+def orbit_count(p):
+    """The number of distinct orbits {i, p(i), p(p(i)), ...}, as sets."""
+    orbits = set()
+    for start in range(1, len(p) + 1):
+        orbit = {start}
+        v = p[start - 1]
+        while v != start:
+            orbit.add(v)
+            v = p[v - 1]
+        orbits.add(frozenset(orbit))
+    return len(orbits)
 
 
 CLASS_KIND = {
@@ -158,15 +197,25 @@ class TestStatistics:
                 )
                 assert statistics(p).inversions == naive
 
-    @given(
-        st.integers(0, 30).flatmap(lambda n: st.permutations(range(1, n + 1))).map(tuple)
-    )
+    @given(words_up_to_500)
+    @with_long_words
     @example(())
     @example((1,))
     def test_inversion_count_matches_pair_count(self, p):
-        n = len(p)
-        pairs = sum(1 for i in range(n) for j in range(i + 1, n) if p[i] > p[j])
-        assert inversion_count(p) == pairs
+        assert inversion_count(p) == pair_inversions(p)
+
+    def test_kernels_match_definitions_over_s_n(self):
+        for n in range(9):
+            for p in all_perms(n):
+                assert inversion_count(p) == pair_inversions(p), p
+                assert descent_count(p) == adjacent_descents(p), p
+                assert cycle_count(p) == orbit_count(p), p
+
+    @given(words_up_to_500)
+    @with_long_words
+    def test_descent_and_cycle_counts_match_definitions(self, p):
+        assert descent_count(p) == adjacent_descents(p)
+        assert cycle_count(p) == orbit_count(p)
 
     def test_diaconis_graham_bounds(self):
         # I + T <= D <= 2I, and D is even, for every permutation.

@@ -19,6 +19,7 @@ from shallowperm.perms import (
 from shallowperm.shallow import (
     IllegalSlot,
     ReductionStep,
+    ShallowCertificate,
     SizeTooSmall,
     StepKind,
     achieves_upper_bound,
@@ -219,6 +220,38 @@ class TestCertificates:
         assert hash(step) == hash((4, 5, StepKind.LEFT_TO_RIGHT_MAX))
         with pytest.raises(AttributeError):
             step.moved_value = 3
+
+    def test_certificates_are_hashable_and_read_only(self):
+        p = (4, 2, 1, 6, 3, 5)
+        cert = certify_shallow(p)
+        assert ShallowCertificate._fields == ("subject", "steps", "verdict")
+        assert tuple(cert) == (p, cert.steps, True)
+        assert cert == ShallowCertificate(verdict=True, steps=cert.steps, subject=p)
+        assert hash(cert) == hash((p, cert.steps, True))
+        for name in ShallowCertificate._fields:
+            with pytest.raises(AttributeError):
+                setattr(cert, name, None)
+
+    def test_replay_rejects_a_legal_step_at_an_illegal_slot(self):
+        # 3412 reduces to 321 by moving 2 into slot 2, between 3 and 1.
+        cert = certify_shallow((3, 4, 1, 2))
+        assert cert.steps[0] == (2, 2, StepKind.VIOLATION)
+        for kind in (StepKind.LEFT_TO_RIGHT_MAX, StepKind.RIGHT_TO_LEFT_MIN):
+            steps = (cert.steps[0]._replace(classification=kind),) + cert.steps[1:]
+            with pytest.raises(IllegalSlot) as exc:
+                replay_certificate(cert._replace(steps=steps))
+            message = str(exc.value)
+            assert "left-to-right" in message and "right-to-left" in message
+
+    def test_replay_rejects_a_wrong_moved_value(self):
+        cert = certify_shallow((4, 2, 1, 6, 3, 5))
+        for k, step in enumerate(cert.steps):
+            if step.moved_value is None:
+                continue
+            wrong = step._replace(moved_value=step.moved_value % 6 + 1)
+            steps = cert.steps[:k] + (wrong,) + cert.steps[k + 1:]
+            with pytest.raises(ValueError, match="certificate step expects"):
+                replay_certificate(cert._replace(steps=steps))
 
     def test_step_kinds_match_flag_definitions(self):
         for n in range(8):
