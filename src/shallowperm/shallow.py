@@ -232,7 +232,9 @@ def replay_certificate(cert: ShallowCertificate) -> Perm:
 
     Legal steps are replayed through extend_right; violation steps use the
     same construction with the slot check skipped. Raises ValueError if a
-    step's recorded moved value disagrees with the reconstruction.
+    step's slot lies outside the word, if its recorded moved value
+    disagrees with the reconstruction, or if the rebuilt word is not the
+    subject.
     """
     size = len(cert.subject) - len(cert.steps)
     current: Perm = (1,) if size == 1 else ()
@@ -240,6 +242,8 @@ def replay_certificate(cert: ShallowCertificate) -> Perm:
         if step.classification is StepKind.APPENDED_MAX:
             current = _extend(current, None)
             continue
+        if not 1 <= step.position_of_max <= len(current):
+            raise IllegalSlot(f"position {step.position_of_max} outside 1..{len(current)}")
         i = step.position_of_max - 1
         if current[i] != step.moved_value:
             raise ValueError(
@@ -250,6 +254,8 @@ def replay_certificate(cert: ShallowCertificate) -> Perm:
             current = _extend(current, i)
         else:
             current = extend_right(current, step.position_of_max)
+    if current != cert.subject:
+        raise ValueError(f"certificate replays to {current}, not its subject {cert.subject}")
     return current
 
 

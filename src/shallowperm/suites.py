@@ -1,61 +1,31 @@
 """Named verification suites bundling the library's cross-checks.
 
-Each check is an oracle table: rows of a label and an expected value per
-size (a catalog series, a closed form, another walk's count, or zero
-violations), all observed in one walk per size. A walk is the shallow
-generator, brute force (S_n filtered by is_shallow), or all of S_n. The
-``all`` suite is the single entry point CI runs.
-
-Every check has a stated default size; passing max_n clamps or extends
-the size-parametric checks, while hard enumeration caps still apply.
+Each check is a declaration: its walks, its default top size, and either a
+feature function with rows of a label and an expected value per size (a
+catalog series, a closed form, or zero violations), or the function that
+computes its rows. A walk is the stream of permutations visited at one size,
+and one cap bounds it. A direct call clamps max_n to its walks' caps;
+run_suite rejects a max_n beyond any cap of the suite's walks. The ``all``
+suite is the single entry point CI runs.
 """
 from __future__ import annotations
 
 import dataclasses
 from collections import Counter
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterable, Optional, Sequence
 
 from . import series
 from .enumeration import (
-    Caps,
-    DEFAULT_CAPS,
-    VerificationPair,
-    VerificationReport,
-    all_perms,
-    descent_table,
-    oracle_values,
-    profile,
-    report_from_pairs,
-    search_mesh_counterexample,
-    verify,
+    DEFAULT_CAPS, Caps, Method, SizeCapExceeded, VerificationPair, VerificationReport,
+    all_perms, descent_table, oracle_values, profile, report_from_pairs,
+    search_mesh_counterexample, verify,
 )
-from .patterns import (
-    POSITION_ANCHORED_3412,
-    VALUE_ANCHORED_3412,
-    avoids,
-    classical,
-)
+from .patterns import POSITION_ANCHORED_3412, VALUE_ANCHORED_3412, avoids, classical
 from .perms import (
-    Perm,
-    SymmetryClass,
-    SymmetryKind,
-    apply_symmetry,
-    decreasing,
-    descent_count,
-    direct_sum,
-    format_permutation,
-    identity,
-    inverse,
-    is_in_class,
-    skew_sum,
+    Perm, SymmetryClass, SymmetryKind, apply_symmetry, decreasing, descent_count, direct_sum,
+    format_permutation, identity, inverse, is_in_class, skew_sum,
 )
-from .shallow import (
-    achieves_upper_bound,
-    certify_shallow,
-    generate_shallow,
-    is_shallow,
-    wrap_n1,
-)
+from .shallow import achieves_upper_bound, certify_shallow, generate_shallow, is_shallow, wrap_n1
 
 PATTERNS = {
     name: classical(tuple(int(c) for c in name))
@@ -95,25 +65,43 @@ _AVOID_ANCHORED_3412 = (VALUE_ANCHORED_3412, POSITION_ANCHORED_3412)
 _CLASSES = tuple(SymmetryClass)
 _IN_NO_CLASS = (False,) * len(_SYMMETRY_ORACLES)
 
-Check = Callable[[Optional[int], Caps], list[VerificationPair]]
-Walk = Callable[[int], Iterator[Perm]]
+Row = tuple[str, Callable[[int], int]]  # a label stem and the expected value at n
+
+# Each walk's stream at size n (the shallow generator, brute force, all of
+# S_n, the decreasing word) and the method whose cap bounds it. The streams
+# look generate_shallow and is_shallow up as they run, so a traced or
+# patched decider is the one used.
+WALKS: dict[str, tuple[Callable[[int], Iterable[Perm]], Method]] = {
+    "shallow": (lambda n: generate_shallow(n), Method.CONSTRUCTIVE),
+    "brute": (lambda n: filter(is_shallow, all_perms(n)), Method.BRUTE_FORCE),
+    "all": (all_perms, Method.BRUTE_FORCE),
+    "decreasing": (lambda n: (decreasing(n),), Method.CONSTRUCTIVE),
+}
 
 
-def _size(default: int, max_n: Optional[int], cap: int) -> int:
-    return min(default if max_n is None else max_n, cap)
+def _cap(walk: str, caps: Caps) -> tuple[int, str]:
+    """The largest size the walk may visit under caps, and that cap's name."""
+    method = WALKS[walk][1]
+    return caps.limit(method), method.value
+
+
+def _top(walk: str, default: int, max_n: Optional[int], caps: Caps) -> int:
+    """A check's top size: max_n, else its default, within the walk's cap."""
+    return min(default if max_n is None else max_n, _cap(walk, caps)[0])
+
+
+def _zero(n: int) -> int:
+    """The expected value of a violation row."""
+    return 0
 
 
 # ---------------------------------------------------------------- oracle tables
 
 
-def _brute(n: int) -> Iterator[Perm]:
-    """The brute-force oracle walk: S_n filtered by the definitional decider."""
-    return filter(is_shallow, all_perms(n))
-
-
-def _tally(walk: Walk, sizes: Iterable[int], features: Callable[[Perm], tuple]) -> dict:
-    """One pass of walk(n) per size, counting how often each features(p) occurs."""
-    return {n: Counter(map(features, walk(n))) for n in sizes}
+def _tally(walk: str, sizes: Iterable[int], features: Callable[[Perm], tuple]) -> dict:
+    """One pass of the walk per size, counting how often each features(p) occurs."""
+    stream = WALKS[walk][0]
+    return {n: Counter(map(features, stream(n))) for n in sizes}
 
 
 def _column(tally: dict, i: int) -> dict[int, int]:
@@ -121,20 +109,52 @@ def _column(tally: dict, i: int) -> dict[int, int]:
     return {n: sum(f[i] * m for f, m in counts.items()) for n, counts in tally.items()}
 
 
-def _rows(tally: dict, rows: Iterable[tuple[str, Callable]]) -> list[VerificationPair]:
-    """Row i, a (label stem, expected value at n), observes column i of the tally."""
-    return [
-        VerificationPair(f"{stem}[{n}]", n, observed, expected(n))
-        for i, (stem, expected) in enumerate(rows)
-        for n, observed in _column(tally, i).items()
-    ]
-
-
-def _violations(
-    stem: str, walk: Walk, sizes: Iterable[int], bad: Callable[[Perm], int]
+def _rows(
+    tally: dict, rows: Iterable[Row], summed_to: Optional[int] = None
 ) -> list[VerificationPair]:
-    """A zero-expected row per size, counting bad(p) over the walk."""
-    return [VerificationPair(f"{stem}[{n}]", n, sum(map(bad, walk(n))), 0) for n in sizes]
+    """Row i observes column i of the tally at each size or, given the top
+    size summed_to, once in total over the sizes."""
+    pairs = []
+    for i, (stem, expected) in enumerate(rows):
+        column = _column(tally, i)
+        if summed_to is None:
+            pairs += [VerificationPair(f"{stem}[{n}]", n, seen, expected(n))
+                      for n, seen in column.items()]
+        else:
+            pairs.append(VerificationPair(f"{stem}[n<={summed_to}]", None,
+                                          sum(column.values()), sum(map(expected, column))))
+    return pairs
+
+
+@dataclasses.dataclass(frozen=True)
+class Check:
+    """A suite check, called as check(max_n, caps) for its rows.
+
+    A tally check walks each size from first to its top size (see _top) and
+    counts features(p), one entry per row of rows(top); with summed, each
+    row is one total over the sizes. Any other check computes its rows.
+    """
+
+    walks: tuple[str, ...]
+    top: Optional[int] = None
+    first: int = 0
+    features: Optional[Callable[[Perm], tuple]] = None
+    rows: Optional[Callable[[int], Sequence[Row]]] = None
+    summed: bool = False
+    compute: Optional[Callable[[Optional[int], Caps], list[VerificationPair]]] = None
+
+    def __call__(self, max_n: Optional[int], caps: Caps) -> list[VerificationPair]:
+        if self.compute is not None:
+            return self.compute(max_n, caps)
+        (walk,) = self.walks
+        top = _top(walk, self.top, max_n, caps)
+        tally = _tally(walk, range(self.first, top + 1), self.features)
+        return _rows(tally, self.rows(top), top if self.summed else None)
+
+
+def _declare(*walks: str) -> Callable[[Callable], Check]:
+    """Declare the walks of a check whose rows are not a tally."""
+    return lambda compute: Check(walks, compute=compute)
 
 
 # --------------------------------------------------------------------- table1
@@ -144,10 +164,11 @@ def _avoidance(p: Perm) -> tuple[bool, ...]:
     return tuple([avoids(p, _AVOID[name]) for name, _ in _TOTAL_ORACLES])
 
 
+@_declare("shallow", "brute")
 def check_table1(max_n: Optional[int], caps: Caps) -> list[VerificationPair]:
-    n_top = _size(10, max_n, caps.constructive)
-    built = _tally(generate_shallow, range(1, n_top + 1), _avoidance)
-    brute = _tally(_brute, range(1, _size(9, max_n, caps.brute_force) + 1), _avoidance)
+    n_top = _top("shallow", 10, max_n, caps)
+    built = _tally("shallow", range(1, n_top + 1), _avoidance)
+    brute = _tally("brute", range(1, _top("brute", 9, max_n, caps) + 1), _avoidance)
     return _rows(
         built,
         [(f"t_n({name}) vs {oracle}", oracle_values(oracle, max(n_top, 0)))
@@ -162,8 +183,9 @@ def check_table1(max_n: Optional[int], caps: Caps) -> list[VerificationPair]:
 # ------------------------------------------------------------------- descents
 
 
+@_declare("shallow")
 def check_descents(max_n: Optional[int], caps: Caps) -> list[VerificationPair]:
-    n_top = _size(9, max_n, caps.constructive)
+    n_top = _top("shallow", 9, max_n, caps)
     return [
         dataclasses.replace(p, label=f"descents({name}) vs {p.label}")
         for name, oracle in (("132", "DescBinom132"), ("321", "A321xz"), ("231", "T231xt"))
@@ -171,8 +193,9 @@ def check_descents(max_n: Optional[int], caps: Caps) -> list[VerificationPair]:
     ]
 
 
+@_declare("shallow")
 def check_grassmannian(max_n: Optional[int], caps: Caps) -> list[VerificationPair]:
-    n_top = _size(10, max_n, caps.constructive)
+    n_top = _top("shallow", 10, max_n, caps)
     rows = descent_table(n_top, PATTERNS["321"], caps).rows
     from_series = oracle_values("Grassmannian", max(n_top, 0))
     pairs = []
@@ -202,38 +225,28 @@ def _symmetry_flags(p: Perm) -> tuple[bool, ...]:
     )
 
 
-def check_symmetry(max_n: Optional[int], caps: Caps) -> list[VerificationPair]:
-    n_top = _size(10, max_n, caps.constructive)
-    return _rows(
-        _tally(generate_shallow, range(1, n_top + 1), _symmetry_flags),
-        [(f"{name} {cls.value} vs {oracle}", oracle_values(oracle, max(n_top, 0)))
-         for name, cls, oracle in _SYMMETRY_ORACLES],
-    )
+check_symmetry = Check(
+    ("shallow",), 10, first=1, features=_symmetry_flags,
+    rows=lambda top: [(f"{name} {cls.value} vs {oracle}", oracle_values(oracle, max(top, 0)))
+                      for name, cls, oracle in _SYMMETRY_ORACLES],
+)
 
 
 # -------------------------------------------------------------------- closure
 
 
-def check_decider_equivalence(max_n: Optional[int], caps: Caps) -> list[VerificationPair]:
-    return _violations(
-        "decider equivalence violations ",
-        all_perms,
-        range(_size(8, max_n, caps.brute_force) + 1),
-        lambda p: is_shallow(p) != certify_shallow(p).verdict,
-    )
+check_decider_equivalence = Check(
+    ("all",), 8, features=lambda p: (is_shallow(p) != certify_shallow(p).verdict,),
+    rows=lambda top: [("decider equivalence violations ", _zero)])
+
+check_symmetry_closure = Check(
+    ("shallow",), 7, rows=lambda top: [("symmetry closure violations ", _zero)],
+    features=lambda p: (sum(not is_shallow(apply_symmetry(p, kind)) for kind in SymmetryKind),))
 
 
-def check_symmetry_closure(max_n: Optional[int], caps: Caps) -> list[VerificationPair]:
-    return _violations(
-        "symmetry closure violations ",
-        generate_shallow,
-        range(_size(7, max_n, caps.constructive) + 1),
-        lambda p: sum(not is_shallow(apply_symmetry(p, kind)) for kind in SymmetryKind),
-    )
-
-
+@_declare("shallow")
 def check_direct_sum_closure(max_n: Optional[int], caps: Caps) -> list[VerificationPair]:
-    total = _size(8, max_n, caps.constructive)
+    total = _top("shallow", 8, max_n, caps)
     small = [list(generate_shallow(n)) for n in range(total // 2 + 1)]
     bad = 0
     for m in range(total + 1):
@@ -248,23 +261,18 @@ def check_direct_sum_closure(max_n: Optional[int], caps: Caps) -> list[Verificat
     return [VerificationPair(f"direct-sum closure violations [|p|+|q|<={total}]", None, bad, 0)]
 
 
-def check_wrap_equivalence(max_n: Optional[int], caps: Caps) -> list[VerificationPair]:
-    return _violations(
-        "wrap equivalence violations ",
-        all_perms,
-        range(_size(7, max_n, caps.brute_force) + 1),
-        lambda p: is_shallow(wrap_n1(p)) != is_shallow(p),
-    )
+check_wrap_equivalence = Check(
+    ("all",), 7, features=lambda p: (is_shallow(wrap_n1(p)) != is_shallow(p),),
+    rows=lambda top: [("wrap equivalence violations ", _zero)])
+
+check_decreasing = Check(
+    ("decreasing",), 12, features=lambda p: (not is_shallow(p),), summed=True,
+    rows=lambda top: [("decreasing permutation not shallow ", _zero)])
 
 
-def check_decreasing(max_n: Optional[int], caps: Caps) -> list[VerificationPair]:
-    n_top = _size(12, max_n, caps.constructive)
-    bad = sum(1 for n in range(n_top + 1) if not is_shallow(decreasing(n)))
-    return [VerificationPair(f"decreasing permutation not shallow [n<={n_top}]", None, bad, 0)]
-
-
+@_declare("decreasing")
 def check_skew_families(max_n: Optional[int], caps: Caps) -> list[VerificationPair]:
-    top = _size(5, max_n, caps.constructive)
+    top = _top("decreasing", 5, max_n, caps)
     rng = range(top + 1)
     d = decreasing
     family = (
@@ -284,24 +292,15 @@ def _boolean_disagreement(p: Perm) -> bool:
     return not (a == b == c)
 
 
-def check_boolean_coincidence(max_n: Optional[int], caps: Caps) -> list[VerificationPair]:
-    return _violations(
-        "boolean coincidence violations ",
-        all_perms,
-        range(_size(8, max_n, caps.brute_force) + 1),
-        _boolean_disagreement,
-    )
+check_boolean_coincidence = Check(
+    ("all",), 8, features=lambda p: (_boolean_disagreement(p),),
+    rows=lambda top: [("boolean coincidence violations ", _zero)])
 
-
-def check_descent_inverse(max_n: Optional[int], caps: Caps) -> list[VerificationPair]:
-    n_top = _size(7, max_n, caps.brute_force)
-    bad = sum(
-        1
-        for n in range(n_top + 1)
-        for p in all_perms(n)
-        if avoids(p, _AVOID["132"]) and descent_count(p) != descent_count(inverse(p))
-    )
-    return [VerificationPair(f"132 descent/inverse violations [n<={n_top}]", None, bad, 0)]
+check_descent_inverse = Check(
+    ("all",), 7, rows=lambda top: [("132 descent/inverse violations ", _zero)], summed=True,
+    features=lambda p: (
+        avoids(p, _AVOID["132"]) and descent_count(p) != descent_count(inverse(p)),
+    ))
 
 
 def _321_tail_broken(p: Perm) -> bool:
@@ -314,50 +313,34 @@ def _321_tail_broken(p: Perm) -> bool:
     )
 
 
-def check_321_tail_structure(max_n: Optional[int], caps: Caps) -> list[VerificationPair]:
-    n_top = _size(9, max_n, caps.constructive)
-    bad = sum(_321_tail_broken(p) for n in range(2, n_top + 1) for p in generate_shallow(n))
-    return [VerificationPair(f"321 tail structure violations [n<={n_top}]", None, bad, 0)]
+check_321_tail_structure = Check(
+    ("shallow",), 9, first=2, features=lambda p: (_321_tail_broken(p),), summed=True,
+    rows=lambda top: [("321 tail structure violations ", _zero)])
 
+check_123_interior_count = Check(
+    ("shallow",), 10, first=3,
+    features=lambda p: (p[0] != len(p) and p[-1] != 1 and avoids(p, _AVOID["123"]),),
+    rows=lambda top: [("123 avoiders with interior extremes ",
+                       lambda n: 2 * series.binomial(n - 1, 3) + n - 1)])
 
-def check_123_interior_count(max_n: Optional[int], caps: Caps) -> list[VerificationPair]:
-    tally = _tally(
-        generate_shallow,
-        range(3, _size(10, max_n, caps.constructive) + 1),
-        lambda p: (p[0] != len(p) and p[-1] != 1 and avoids(p, _AVOID["123"]),),
-    )
-    return _rows(
-        tally,
-        [("123 avoiders with interior extremes ", lambda n: 2 * series.binomial(n - 1, 3) + n - 1)],
-    )
-
-
-def check_leading_pair_231(max_n: Optional[int], caps: Caps) -> list[VerificationPair]:
-    tally = _tally(
-        generate_shallow,
-        range(5, _size(10, max_n, caps.constructive) + 1),
-        lambda p: (p[0] == len(p) and p[1] == len(p) - 1 and avoids(p, _AVOID["231"]),),
-    )
-    return _rows(
-        tally,
-        [("231 avoiders led by top pair ", lambda n: series.closed_form("231_leading_pair", n))],
-    )
+check_leading_pair_231 = Check(
+    ("shallow",), 10, first=5,
+    features=lambda p: (p[0] == len(p) and p[1] == len(p) - 1 and avoids(p, _AVOID["231"]),),
+    rows=lambda top: [("231 avoiders led by top pair ",
+                       lambda n: series.closed_form("231_leading_pair", n))])
 
 
 # ----------------------------------------------------------------------- mesh
 
 
-def check_mesh_necessary(max_n: Optional[int], caps: Caps) -> list[VerificationPair]:
-    return _violations(
-        "shallow anchored-3412 violations ",
-        generate_shallow,
-        range(_size(8, max_n, caps.constructive) + 1),
-        lambda p: not avoids(p, _AVOID_ANCHORED_3412),
-    )
+check_mesh_necessary = Check(
+    ("shallow",), 8, features=lambda p: (not avoids(p, _AVOID_ANCHORED_3412),),
+    rows=lambda top: [("shallow anchored-3412 violations ", _zero)])
 
 
+@_declare("all")
 def check_mesh_counterexample(max_n: Optional[int], caps: Caps) -> list[VerificationPair]:
-    n_top = _size(caps.brute_force, max_n, caps.brute_force)
+    n_top = _top("all", caps.brute_force, max_n, caps)
     witness = search_mesh_counterexample(n_top, caps)
     if witness is None:
         label = f"mesh counterexample search (n <= {n_top}): none found"
@@ -372,8 +355,9 @@ def check_mesh_counterexample(max_n: Optional[int], caps: Caps) -> list[Verifica
 # ---------------------------------------------------------------- exploratory
 
 
+@_declare("shallow")
 def check_profiles(max_n: Optional[int], caps: Caps) -> list[VerificationPair]:
-    n_top = _size(8, max_n, caps.constructive)
+    n_top = _top("shallow", 8, max_n, caps)
     pairs: list[VerificationPair] = []
     for n in range(1, n_top + 1):
         pair = profile(n, caps)
@@ -415,15 +399,26 @@ SUITES["all"] = (
     + (check_profiles,)
 )
 
+# Each suite's walks, read once as plain strings: tracing swaps the checks
+# in SUITES for wrappers but leaves strings alone.
+_SUITE_WALKS = {
+    name: {walk for check in checks for walk in check.walks} for name, checks in SUITES.items()
+}
+
 
 def run_suite(
     name: str, max_n: Optional[int] = None, caps: Caps = DEFAULT_CAPS
 ) -> VerificationReport:
-    """Run a named suite and aggregate its rows into one report."""
+    """Run a named suite and aggregate its rows into one report; a max_n
+    beyond the cap of any walk in the suite raises SizeCapExceeded first."""
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
     if max_n is not None and max_n < 0:
         raise ValueError(f"max_n must be nonnegative, got {max_n}")
+    if max_n is not None:
+        limit, cap_name = min(_cap(walk, caps) for walk in _SUITE_WALKS[name])
+        if max_n > limit:
+            raise SizeCapExceeded(f"max_n {max_n} beyond the {cap_name} cap {limit}")
     pairs: list[VerificationPair] = []
     for check in SUITES[name]:
         pairs.extend(check(max_n, caps))

@@ -59,6 +59,10 @@ BASE_COMMANDS = [
     ["verify", "--suite", "mesh", "--max-n", "5"],
     ["verify", "--suite", "all", "--max-n", "-3"],
     ["verify", "--suite", "everything"],
+    ["verify", "--suite", "table1", "--max-n", "13"],
+    ["verify", "--suite", "closure", "--max-n", "11"],
+    ["verify", "--suite", "symmetry", "--max-n", "13"],
+    ["verify", "--suite", "mesh", "--max-n", "20"],
     ["certify", "4,2,1,6,3,5"],
     ["certify", "3,4,1,2"],
     ["certify", "1"],

@@ -253,6 +253,18 @@ class TestCertificates:
             with pytest.raises(ValueError, match="certificate step expects"):
                 replay_certificate(cert._replace(steps=steps))
 
+    def test_replay_rejects_a_slot_outside_the_word(self):
+        # Slot 0 would index from the end and rebuild 3214.
+        cert = certify_shallow((3, 4, 1, 2))
+        steps = (ReductionStep(0, 1, StepKind.VIOLATION),) + cert.steps[1:]
+        with pytest.raises(IllegalSlot, match="position 0 outside 1..3"):
+            replay_certificate(cert._replace(steps=steps))
+
+    def test_replay_rejects_steps_of_another_subject(self):
+        cert = certify_shallow((2, 1, 3))._replace(subject=(1, 2, 3))
+        with pytest.raises(ValueError, match=r"replays to \(2, 1, 3\), not its subject"):
+            replay_certificate(cert)
+
     def test_step_kinds_match_flag_definitions(self):
         for n in range(8):
             for p in all_perms(n):

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from shallowperm import suites
-from shallowperm.enumeration import Caps
+from shallowperm.enumeration import Caps, SizeCapExceeded
 from shallowperm.shallow import generate_shallow
 from shallowperm.suites import (
     SUITES,
@@ -48,6 +48,29 @@ def test_mesh_suite_small():
     report = run_suite("mesh", max_n=5)
     assert report.overall
     assert any("witness" in p.label for p in report.pairs)
+
+
+SMALL_CAPS = Caps(brute_force=4, constructive=5)
+# The largest max_n each suite accepts under SMALL_CAPS: the least cap of the
+# walks its checks declare. Every suite that walks S_n is bounded by brute force.
+SMALL_LIMITS = {"table1": 4, "descents": 5, "symmetry": 5, "closure": 4, "mesh": 4, "all": 4}
+
+
+@pytest.mark.parametrize("name", sorted(SMALL_LIMITS))
+def test_suite_runs_at_its_cap_and_rejects_beyond(name):
+    limit = SMALL_LIMITS[name]
+    assert run_suite(name, max_n=limit, caps=SMALL_CAPS).overall
+    cap = "brute cap 4" if limit == 4 else "constructive cap 5"
+    start = time.perf_counter()
+    with pytest.raises(SizeCapExceeded, match=f"^max_n {limit + 1} beyond the {cap}$"):
+        run_suite(name, max_n=limit + 1, caps=SMALL_CAPS)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_every_check_declares_a_capped_walk():
+    # run_suite rejects an over-cap max_n only through these declarations.
+    for check in SUITES["all"]:
+        assert check.walks and set(check.walks) <= set(suites.WALKS)
 
 
 def test_check_decreasing_clamps_to_constructive_cap():
