@@ -13,7 +13,7 @@ generates every shallow permutation of the next size exactly once.
 from __future__ import annotations
 
 from enum import Enum
-from typing import Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .perms import (
     Perm,
@@ -44,20 +44,29 @@ def achieves_upper_bound(p: Perm) -> bool:
     return total_displacement(p) == 2 * inversion_count(p)
 
 
-def _reduce(w: list[int]) -> tuple[int, int | None]:
+def _reduce(p: Perm, size: int) -> tuple[list[int], list[tuple[int, int | None]]]:
     """
-    One right-operator step, in place, on a word list of size >= 2: pop the
-    last entry and, unless it was the maximum, write it into the maximum's
-    slot. Returns that 0-based slot and the value moved into it (None when
-    the maximum was last).
+    Right-operator steps on p until size entries are left. The word is kept
+    1-based in a list w (w[0] is unused) beside its inverse at, so each step
+    pops the last entry, reads the maximum's slot from at, writes the entry
+    there and updates at, in O(1). Returns w and each step's 1-based slot
+    and the value moved into it (None when the maximum was last).
     """
-    n = len(w)
-    last = w.pop()
-    if last == n:
-        return n - 1, None
-    j = w.index(n)
-    w[j] = last
-    return j, last
+    w = [0, *p]
+    at = [0] * len(w)
+    for i, v in enumerate(p, 1):
+        at[v] = i
+    trace: list[tuple[int, int | None]] = []
+    for k in range(len(p), size, -1):
+        last = w.pop()
+        if last == k:
+            trace.append((k, None))
+        else:
+            j = at[k]
+            w[j] = last
+            at[last] = j
+            trace.append((j, last))
+    return w, trace
 
 
 def _extend(t: Perm, i: int | None) -> Perm:
@@ -86,9 +95,8 @@ def r_operator(p: Perm) -> Perm:
     """
     if len(p) < 2:
         raise SizeTooSmall("need at least 2 entries")
-    w = list(p)
-    _reduce(w)
-    return tuple(w)
+    w, _ = _reduce(p, len(p) - 1)
+    return tuple(w[1:])
 
 
 def l_operator(p: Perm) -> Perm:
@@ -154,11 +162,12 @@ class ShallowCertificate(NamedTuple):
 _new = tuple.__new__
 
 
-def _slot_kind(w: list[int] | Perm, j: int) -> StepKind:
+def _slot_kind(w: Perm, j: int) -> StepKind:
     """
-    How the entry at the 0-based slot j stands in w: a left-to-right
-    maximum (tested first, so an entry that is both kinds counts as one),
-    else a right-to-left minimum, else neither (VIOLATION).
+    How the entry at the 0-based slot j stands in w, from the definitions:
+    a left-to-right maximum (tested first, so an entry that is both kinds
+    counts as one), else a right-to-left minimum, else neither (VIOLATION).
+    extend_right checks its one slot with it.
     """
     v = w[j]
     if j == 0 or max(w[:j]) < v:
@@ -166,6 +175,47 @@ def _slot_kind(w: list[int] | Perm, j: int) -> StepKind:
     if j == len(w) - 1 or min(w[j + 1:]) > v:
         return _RIGHT_TO_LEFT_MIN
     return _VIOLATION
+
+
+def _grow(growth: Iterable[tuple[int, int | None]]) -> tuple[list[ReductionStep], bool]:
+    """
+    Classify right-operator steps in growth order, from the word (1,) up,
+    on the two stacks described in certify_shallow. Each step is its
+    1-based slot and moved value, or the new size and None for an appended
+    maximum. Returns the steps, in the same order, and the verdict.
+    """
+    # The stacks' tops are kept in lt and rt; a 0 at the bottom stops pops.
+    lr = [0]
+    rl = [0]
+    lt = rt = 1
+    steps: list[ReductionStep] = []
+    verdict = True
+    for a, v in growth:
+        if v is None:
+            lr.append(lt)
+            rl.append(rt)
+            lt = rt = a
+            steps.append(_new(ReductionStep, (a, None, _APPENDED_MAX)))
+            continue
+        while lt > a:
+            lt = lr.pop()
+        while rt > v:
+            rt = rl.pop()
+        if lt == a:
+            kind = _LEFT_TO_RIGHT_MAX
+        else:
+            lr.append(lt)
+            lt = a
+            if rt == v:
+                kind = _RIGHT_TO_LEFT_MIN
+            else:
+                kind = _VIOLATION
+                verdict = False
+        if rt != v:
+            rl.append(rt)
+            rt = v
+        steps.append(_new(ReductionStep, (a, v, kind)))
+    return steps, verdict
 
 
 def certify_shallow(p: Perm) -> ShallowCertificate:
@@ -178,21 +228,25 @@ def certify_shallow(p: Perm) -> ShallowCertificate:
     relocated entry is both kinds of extreme, it is recorded as a
     left-to-right maximum so traces are deterministic.
 
+    Two passes make this O(n). The first reduces p to one entry (see
+    _reduce). The second grows the words back, each smaller word W to the
+    next by writing the new maximum into slot a and sending v = W[a] to
+    the end, on two increasing stacks: the slots of W's left-to-right
+    maxima and the values of its right-to-left minima. The new maximum at
+    slot a hides the left-to-right maxima after it, so the first stack
+    becomes its slots below a, then a; the moved v at the end hides the
+    right-to-left minima above it, so the second becomes its values below
+    v, then v; an appended maximum tops both. So slot a is a left-to-right
+    maximum of W exactly when it tops the first stack once the larger
+    slots are popped, and v is a right-to-left minimum exactly when it
+    tops the second once the larger values are popped. Each entry is
+    pushed once, so the pops cost O(1) per step amortized.
+
     >>> certify_shallow((3, 4, 1, 2)).verdict
     False
     """
-    steps: list[ReductionStep] = []
-    verdict = True
-    w = list(p)
-    while len(w) >= 2:
-        j, moved = _reduce(w)
-        if moved is None:
-            kind = _APPENDED_MAX
-        else:
-            kind = _slot_kind(w, j)
-            if kind is _VIOLATION:
-                verdict = False
-        steps.append(_new(ReductionStep, (j + 1, moved, kind)))
+    steps, verdict = _grow(reversed(_reduce(p, 1)[1]))
+    steps.reverse()
     return _new(ShallowCertificate, (p, tuple(steps), verdict))
 
 
@@ -228,35 +282,59 @@ def extend_right(t: Perm, position: int | None = None) -> Perm:
 
 def replay_certificate(cert: ShallowCertificate) -> Perm:
     """
-    Rebuild the certificate's subject by undoing its steps in reverse.
+    Rebuild the certificate's subject by undoing its steps in reverse on
+    one list, and check that it is the certificate of that subject.
 
-    Legal steps are replayed through extend_right; violation steps use the
-    same construction with the slot check skipped. Raises ValueError if a
-    step's slot lies outside the word, if its recorded moved value
-    disagrees with the reconstruction, or if the rebuilt word is not the
-    subject.
+    Raises IllegalSlot if a step's slot lies outside the word, and
+    ValueError if its moved value disagrees with the word or if the
+    rebuilt word is not the subject. The rebuilt steps are then classified
+    as certify_shallow's second pass does, O(n) in all, and each step's
+    slot, moved value and kind and the verdict must match. A step labelled
+    legal at a violation slot raises IllegalSlot naming both failures, as
+    extend_right does; any other difference raises ValueError naming the
+    first step that differs.
     """
-    size = len(cert.subject) - len(cert.steps)
-    current: Perm = (1,) if size == 1 else ()
-    for step in reversed(cert.steps):
-        if step.classification is StepKind.APPENDED_MAX:
-            current = _extend(current, None)
+    subject, steps, verdict = cert
+    # Certificates reduce to (1,), or to () for the empty subject, so a
+    # wrong step count rebuilds a word of the wrong size.
+    w = [1] if subject else []
+    growth: list[tuple[int, int | None]] = []
+    for a, v, kind in reversed(steps):
+        k = len(w) + 1
+        if kind is _APPENDED_MAX:
+            w.append(k)
+            growth.append((k, None))
             continue
-        if not 1 <= step.position_of_max <= len(current):
-            raise IllegalSlot(f"position {step.position_of_max} outside 1..{len(current)}")
-        i = step.position_of_max - 1
-        if current[i] != step.moved_value:
+        if not 1 <= a < k:
+            raise IllegalSlot(f"position {a} outside 1..{k - 1}")
+        if w[a - 1] != v:
             raise ValueError(
-                f"certificate step expects {step.moved_value} at position "
-                f"{step.position_of_max}, found {current[i]}"
+                f"certificate step expects {v} at position {a}, found {w[a - 1]}"
             )
-        if step.classification is StepKind.VIOLATION:
-            current = _extend(current, i)
-        else:
-            current = extend_right(current, step.position_of_max)
-    if current != cert.subject:
-        raise ValueError(f"certificate replays to {current}, not its subject {cert.subject}")
-    return current
+        w.append(v)
+        w[a - 1] = k
+        growth.append((a, v))
+    word = tuple(w)
+    if word != subject:
+        raise ValueError(f"certificate replays to {word}, not its subject {subject}")
+    made, shallow = _grow(growth)
+    made.reverse()
+    for i, (step, want) in enumerate(zip(steps, made), 1):
+        if step != want:
+            if want.classification is _VIOLATION:
+                # The step is labelled legal at a violation slot: extending
+                # the word it reduces to raises the IllegalSlot naming both
+                # failures.
+                smaller, _ = _reduce(word, len(word) - i)
+                extend_right(tuple(smaller[1:]), want.position_of_max)
+            given, wanted = (", ".join(map(str, s)) for s in (step, want))
+            raise ValueError(
+                f"certificate step {i} is ({given}), but the certificate of "
+                f"{word} has ({wanted})"
+            )
+    if verdict != shallow:
+        raise ValueError(f"certificate verdict is {verdict}, but {word} has {shallow}")
+    return word
 
 
 def _children(t: Perm) -> Iterator[Perm]:
