@@ -1,6 +1,12 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
 
 from shallowperm import cli, suites
 from shallowperm.cli import main
@@ -306,3 +312,24 @@ class TestProfile:
         _, out_csv, _ = run(capsys, "profile", "--n", "3", "--format", "csv")
         parsed = list(csv.reader(io.StringIO(out_csv)))
         assert parsed[1:] == expected
+
+
+class TestClosedPipe:
+    # The 400-entry certificate fails inside the write itself; the short
+    # csv fits in the stream's buffer and fails at the flush.
+    @pytest.mark.parametrize("argv", [
+        ["certify", ",".join(map(str, range(1, 401)))],
+        ["count", "--n", "1..8", "--format", "csv"],
+    ])
+    def test_exit_1_without_traceback(self, argv):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "shallowperm.cli", *argv],
+                stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert (done.returncode, done.stderr) == (1, b"")

@@ -24,6 +24,14 @@ GF_NAMES = (
     "A321xz", "C231xt", "B231xt", "T231xt", "DescBinom132",
 )
 
+# 40-entry words, so that the pinned certificates nest many step records:
+# one grown shallow by a seeded extend_right walk, one drawn uniformly and
+# not shallow.
+GROWN_40 = ("37,3,6,4,2,10,5,7,11,9,13,12,14,27,20,16,18,19,15,8,"
+            "21,23,17,33,25,24,26,30,29,22,31,36,32,28,34,39,35,40,38,1")
+UNIFORM_40 = ("27,6,37,17,13,12,22,36,2,18,29,9,35,21,24,33,16,23,25,30,"
+              "8,7,4,10,31,15,3,1,19,26,20,39,40,5,34,28,32,14,38,11")
+
 BASE_COMMANDS = [
     ["count", "--n", "4", "--avoid", "231"],
     ["count", "--n", "1..8", "--avoid", "132"],
@@ -86,6 +94,8 @@ BASE_COMMANDS = [
     ["profile", "--n", "x"],
     ["bogus"],
     [],
+    ["certify", GROWN_40],
+    ["certify", UNIFORM_40],
 ]
 
 CORPUS = [
