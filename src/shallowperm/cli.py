@@ -81,7 +81,8 @@ def _render_rows(header: Sequence[str], rows: Sequence[Sequence], fmt: str) -> s
         for row in rows:
             writer.writerow(["" if v is None else v for v in row])
         return buf.getvalue()
-    cells = [[("" if v is None else str(v)) for v in row] for row in rows]
+    # A pipe inside a cell would end it early in a GFM table.
+    cells = [[("" if v is None else str(v)).replace("|", r"\|") for v in row] for row in rows]
     lines = ["| " + " | ".join(header) + " |"]
     lines.append("| " + " | ".join("-" for _ in header) + " |")
     for row in cells:

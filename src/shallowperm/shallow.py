@@ -13,7 +13,7 @@ generates every shallow permutation of the next size exactly once.
 from __future__ import annotations
 
 from enum import Enum
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterator, NamedTuple
 
 from .perms import (
     Perm,
@@ -162,62 +162,6 @@ class ShallowCertificate(NamedTuple):
 _new = tuple.__new__
 
 
-def _slot_kind(w: Perm, j: int) -> StepKind:
-    """
-    How the entry at the 0-based slot j stands in w, from the definitions:
-    a left-to-right maximum (tested first, so an entry that is both kinds
-    counts as one), else a right-to-left minimum, else neither (VIOLATION).
-    extend_right checks its one slot with it.
-    """
-    v = w[j]
-    if j == 0 or max(w[:j]) < v:
-        return _LEFT_TO_RIGHT_MAX
-    if j == len(w) - 1 or min(w[j + 1:]) > v:
-        return _RIGHT_TO_LEFT_MIN
-    return _VIOLATION
-
-
-def _grow(growth: Iterable[tuple[int, int | None]]) -> tuple[list[ReductionStep], bool]:
-    """
-    Classify right-operator steps in growth order, from the word (1,) up,
-    on the two stacks described in certify_shallow. Each step is its
-    1-based slot and moved value, or the new size and None for an appended
-    maximum. Returns the steps, in the same order, and the verdict.
-    """
-    # The stacks' tops are kept in lt and rt; a 0 at the bottom stops pops.
-    lr = [0]
-    rl = [0]
-    lt = rt = 1
-    steps: list[ReductionStep] = []
-    verdict = True
-    for a, v in growth:
-        if v is None:
-            lr.append(lt)
-            rl.append(rt)
-            lt = rt = a
-            steps.append(_new(ReductionStep, (a, None, _APPENDED_MAX)))
-            continue
-        while lt > a:
-            lt = lr.pop()
-        while rt > v:
-            rt = rl.pop()
-        if lt == a:
-            kind = _LEFT_TO_RIGHT_MAX
-        else:
-            lr.append(lt)
-            lt = a
-            if rt == v:
-                kind = _RIGHT_TO_LEFT_MIN
-            else:
-                kind = _VIOLATION
-                verdict = False
-        if rt != v:
-            rl.append(rt)
-            rt = v
-        steps.append(_new(ReductionStep, (a, v, kind)))
-    return steps, verdict
-
-
 def certify_shallow(p: Perm) -> ShallowCertificate:
     """
     Reduce p step by step, classifying each relocated entry.
@@ -245,7 +189,37 @@ def certify_shallow(p: Perm) -> ShallowCertificate:
     >>> certify_shallow((3, 4, 1, 2)).verdict
     False
     """
-    steps, verdict = _grow(reversed(_reduce(p, 1)[1]))
+    # The stacks' tops are kept in lt and rt; a 0 at the bottom stops pops.
+    lr = [0]
+    rl = [0]
+    lt = rt = 1
+    steps: list[ReductionStep] = []
+    verdict = True
+    for a, v in reversed(_reduce(p, 1)[1]):
+        if v is None:
+            lr.append(lt)
+            rl.append(rt)
+            lt = rt = a
+            steps.append(_new(ReductionStep, (a, None, _APPENDED_MAX)))
+            continue
+        while lt > a:
+            lt = lr.pop()
+        while rt > v:
+            rt = rl.pop()
+        if lt == a:
+            kind = _LEFT_TO_RIGHT_MAX
+        else:
+            lr.append(lt)
+            lt = a
+            if rt == v:
+                kind = _RIGHT_TO_LEFT_MIN
+            else:
+                kind = _VIOLATION
+                verdict = False
+        if rt != v:
+            rl.append(rt)
+            rt = v
+        steps.append(_new(ReductionStep, (a, v, kind)))
     steps.reverse()
     return _new(ShallowCertificate, (p, tuple(steps), verdict))
 
@@ -268,10 +242,10 @@ def extend_right(t: Perm, position: int | None = None) -> Perm:
     if not 1 <= position <= len(t):
         raise IllegalSlot(f"position {position} outside 1..{len(t)}")
     i = position - 1
-    if _slot_kind(t, i) is _VIOLATION:
-        v = t[i]
-        larger_before = max(t[:i])
-        smaller_after = min(t[i + 1:])
+    v = t[i]
+    larger_before = max(t[:i], default=0)
+    smaller_after = min(t[i + 1:], default=len(t) + 1)
+    if larger_before > v > smaller_after:
         raise IllegalSlot(
             f"entry {v} at position {position} is neither a left-to-right "
             f"maximum ({larger_before} precedes it) nor a right-to-left "
@@ -287,23 +261,20 @@ def replay_certificate(cert: ShallowCertificate) -> Perm:
 
     Raises IllegalSlot if a step's slot lies outside the word, and
     ValueError if its moved value disagrees with the word or if the
-    rebuilt word is not the subject. The rebuilt steps are then classified
-    as certify_shallow's second pass does, O(n) in all, and each step's
-    slot, moved value and kind and the verdict must match. A step labelled
-    legal at a violation slot raises IllegalSlot naming both failures, as
-    extend_right does; any other difference raises ValueError naming the
-    first step that differs.
+    rebuilt word is not the subject. The rebuilt word is then certified,
+    O(n) in all, and each step's slot, moved value and kind and the verdict
+    must match certify_shallow's. A step labelled legal at a violation slot
+    raises IllegalSlot naming both failures, as extend_right does; any
+    other difference raises ValueError naming the first step that differs.
     """
     subject, steps, verdict = cert
     # Certificates reduce to (1,), or to () for the empty subject, so a
     # wrong step count rebuilds a word of the wrong size.
     w = [1] if subject else []
-    growth: list[tuple[int, int | None]] = []
     for a, v, kind in reversed(steps):
         k = len(w) + 1
         if kind is _APPENDED_MAX:
             w.append(k)
-            growth.append((k, None))
             continue
         if not 1 <= a < k:
             raise IllegalSlot(f"position {a} outside 1..{k - 1}")
@@ -313,12 +284,10 @@ def replay_certificate(cert: ShallowCertificate) -> Perm:
             )
         w.append(v)
         w[a - 1] = k
-        growth.append((a, v))
     word = tuple(w)
     if word != subject:
         raise ValueError(f"certificate replays to {word}, not its subject {subject}")
-    made, shallow = _grow(growth)
-    made.reverse()
+    _, made, shallow = certify_shallow(word)
     for i, (step, want) in enumerate(zip(steps, made), 1):
         if step != want:
             if want.classification is _VIOLATION:
@@ -374,11 +343,8 @@ def generate_shallow(n: int) -> Iterator[Perm]:
     """
     if n < 0:
         raise ValueError("size must be nonnegative")
-    if n == 0:
-        yield ()
-        return
-    if n == 1:
-        yield (1,)
+    if n < 2:
+        yield tuple(range(1, n + 1))
         return
     # stack[k] iterates over words of size k + 1.
     stack: list[Iterator[Perm]] = [iter(((1,),))]

@@ -135,5 +135,19 @@ def test_transcript_matches(argv, pinned):
     assert transcript(argv) == pinned[tuple(argv)]
 
 
+_UNESCAPED_PIPE = re.compile(r"(?<!\\)\|")
+
+
+def test_md_rows_have_as_many_cells_as_the_header(pinned):
+    tables = [r["stdout"] for argv, r in pinned.items()
+              if argv[-2:] == ("--format", "md") and r["stdout"]]
+    assert len(tables) == 41
+    for table in tables:
+        header, *rows = table.splitlines()
+        width = len(_UNESCAPED_PIPE.split(header))
+        for row in rows:
+            assert len(_UNESCAPED_PIPE.split(row)) == width, row
+
+
 if __name__ == "__main__":
     PINNED.write_text(json.dumps([transcript(argv) for argv in CORPUS], indent=1) + "\n")

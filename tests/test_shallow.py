@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 import time
@@ -303,10 +304,60 @@ class TestCertificates:
         with pytest.raises(ValueError, match="verdict is False, but .* has True"):
             replay_certificate(cert)
 
+    def test_replay_rejects_every_one_field_tamper(self):
+        # Each step's slot, moved value or kind changed to any other value,
+        # or the verdict flipped: 74,526 variants over S_0..S_6.
+        variants = 0
+        for n in range(7):
+            values = range(n + 2)
+            for p in all_perms(n):
+                cert = certify_shallow(p)
+                tampered = [cert._replace(verdict=not cert.verdict)]
+                for k, step in enumerate(cert.steps):
+                    a, v, kind = step
+                    changes = [step._replace(position_of_max=b) for b in values if b != a]
+                    changes += [
+                        step._replace(moved_value=u) for u in (None, *values) if u != v
+                    ]
+                    changes += [
+                        step._replace(classification=c) for c in StepKind if c is not kind
+                    ]
+                    tampered += [
+                        cert._replace(steps=cert.steps[:k] + (c,) + cert.steps[k + 1:])
+                        for c in changes
+                    ]
+                for bad in tampered:
+                    # IllegalSlot is a ValueError; any other type escapes.
+                    with pytest.raises(ValueError):
+                        replay_certificate(bad)
+                variants += len(tampered)
+        assert variants == 74526
+
     def test_step_kinds_match_flag_definitions(self):
         for n in range(8):
             for p in all_perms(n):
                 assert certify_shallow(p).steps == reference_certificate(p), p
+
+
+class TestExactness:
+    """Pins of outputs that no change may move."""
+
+    def test_generator_order_hash(self):
+        h = hashlib.sha256()
+        for w in generate_shallow(10):
+            h.update(repr(w).encode())
+        assert h.hexdigest() == (
+            "5a275cbec7c2d115cded094a2b3cc80e77d316a013c24c0d4bd965285984c654"
+        )
+
+    def test_certificate_hash(self):
+        h = hashlib.sha256()
+        for n in range(9):
+            for p in all_perms(n):
+                h.update(repr(certify_shallow(p)).encode())
+        assert h.hexdigest() == (
+            "108d8318f8b567f5c8ae9dff01bc23378fa6c36a8d67bc4c8dbb3f39db4ac31e"
+        )
 
 
 class TestExtension:
@@ -330,14 +381,23 @@ class TestExtension:
             extend_right((2, 1), 3)
 
     def test_round_trip_all_slots(self):
-        for t in generate_shallow(5):
-            assert r_operator(extend_right(t)) == t
-            for i in range(1, 6):
-                try:
-                    child = extend_right(t, i)
-                except IllegalSlot:
-                    continue
-                assert r_operator(child) == t
+        # Every slot of every word of S_0..S_7 is legal exactly when the flag
+        # definitions say so; a legal one reduces back, and an illegal one
+        # names the larger entry before it and the smaller one after it.
+        for n in range(8):
+            for t in all_perms(n):
+                if t:
+                    assert r_operator(extend_right(t)) == t
+                lr, rl = lr_max_flags(t), rl_min_flags(t)
+                for i in range(n):
+                    if lr[i] or rl[i]:
+                        assert r_operator(extend_right(t, i + 1)) == t
+                        continue
+                    with pytest.raises(IllegalSlot) as exc:
+                        extend_right(t, i + 1)
+                    message = str(exc.value)
+                    assert f"({max(t[:i])} precedes it)" in message
+                    assert f"({min(t[i + 1:])} follows it)" in message
 
 
 class TestGenerator:
