@@ -32,7 +32,7 @@ from .perms import (
     is_in_class,
     lr_max_flags,
 )
-from .shallow import generate_shallow, is_shallow
+from .shallow import _slots, generate_shallow, is_shallow
 
 
 class SizeCapExceeded(ValueError):
@@ -137,6 +137,8 @@ def _counts_for(n: int, query: CountQuery, method: Method) -> dict[Optional[int]
             raise MethodDisagreement(n, brute, constructive)
         return constructive
     brute_force = method is Method.BRUTE_FORCE
+    if not brute_force and query.symmetry is None and not query.avoid and n >= 1:
+        return _tally_parents(n, query.refine_by)
     stream: Iterable[Perm] = all_perms(n) if brute_force else generate_shallow(n)
     if query.symmetry is not None:
         stream = filter(partial(is_in_class, cls=query.symmetry), stream)
@@ -148,6 +150,57 @@ def _counts_for(n: int, query: CountQuery, method: Method) -> dict[Optional[int]
         total = sum(1 for _ in stream)
         return {None: total} if total else {}
     return dict(Counter(map(REFINEMENTS[query.refine_by], stream)))
+
+
+def _tally_parents(n: int, refine_by: Optional[str]) -> dict[Optional[int], int]:
+    """
+    The unfiltered constructive counts of size n >= 1, tallied from the
+    shallow words of size n - 1 without building the words of size n.
+
+    Exact: the shallow words of size n are the children of the shallow
+    words of size n - 1, as the generator rests on, and each is a child of
+    exactly one parent, its right-operator reduction, at exactly one slot,
+    the one that held n (or the end, when n came last). So every word of
+    size n is counted once. A parent t has 1 + len(_slots(t)) children,
+    and a child's statistic follows from t and its slot i, holding
+    v = t[i], with m = len(t):
+    - cycles: the appended child has one more than t; a slot child has as
+      many, since n joins the cycle of slot i;
+    - left-to-right maxima: those of t before the new maximum, plus it;
+    - descents: the appended child has those of t. A slot child loses the
+      pairs (t[i-1], v) and (v, t[i+1]) and gains (t[i-1], n), which is
+      never a descent, (n, t[i+1]), which always is, and the new last pair
+      (t[m-1], v); when i = m - 1 the last pair is (n, v), a descent.
+    """
+    parents = generate_shallow(n - 1)
+    if refine_by is None:
+        return {None: sum(1 + len(_slots(t)) for t in parents)}
+    # Each statistic of a word of size n lies in 0..n.
+    tally = [0] * (n + 1)
+    if refine_by == "cycles":
+        for t in parents:
+            c = cycle_count(t)
+            tally[c + 1] += 1
+            tally[c] += len(_slots(t))
+    elif refine_by == "lrmax":
+        for t in parents:
+            # before[i] is one more than the left-to-right maxima of t[:i].
+            before = list(itertools.accumulate(lr_max_flags(t), initial=1))
+            tally[before[-1]] += 1
+            for i in _slots(t):
+                tally[before[i]] += 1
+    else:  # descents
+        for t in parents:
+            d = descent_count(t)
+            tally[d] += 1
+            # w pads t with 0 in front and n at the end, so w[i] = t[i-1]
+            # and the pairs at the ends are never descents.
+            w = (0, *t, n)
+            last = w[-2]
+            for i in _slots(t):
+                v = w[i + 1]
+                tally[d + 1 - (w[i] > v) - (v > w[i + 2]) + (last > v)] += 1
+    return {k: c for k, c in enumerate(tally) if c}
 
 
 def _rows(

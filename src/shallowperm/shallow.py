@@ -306,15 +306,16 @@ def replay_certificate(cert: ShallowCertificate) -> Perm:
     return word
 
 
-def _children(t: Perm) -> Iterator[Perm]:
+def _slots(t: Perm) -> list[int]:
     """
-    All words one size larger that reduce to t, each exactly once.
+    The 0-based slots of t that hold a left-to-right maximum or a
+    right-to-left minimum, in increasing order.
 
-    One left-to-right pass finds the legal slots: t[i] is a left-to-right
-    maximum when it exceeds every entry before it, and a right-to-left
-    minimum when it is the least value that t[:i] lacks.
+    One left-to-right pass finds them: t[i] is a left-to-right maximum
+    when it exceeds every entry before it, and a right-to-left minimum
+    when it is the least value that t[:i] lacks.
     """
-    yield _extend(t, None)
+    slots = []
     seen = [False] * (len(t) + 2)
     top = 0  # max(t[:i])
     least = 1  # min of the values missing from t[:i]
@@ -327,7 +328,23 @@ def _children(t: Perm) -> Iterator[Perm]:
             continue
         if v > top:
             top = v
-        yield _extend(t, i)
+        slots.append(i)
+    return slots
+
+
+def _children(t: Perm) -> Iterator[Perm]:
+    """
+    All words one size larger that reduce to t, each exactly once: the
+    appended child, then each child of _slots(t), as _extend builds them.
+    """
+    # _extend's body, inlined: a call per child costs the generator 5 to
+    # 10% of its speed.
+    m = len(t) + 1
+    yield t + (m,)
+    for i in _slots(t):
+        child = [*t, t[i]]
+        child[i] = m
+        yield tuple(child)
 
 
 def generate_shallow(n: int) -> Iterator[Perm]:

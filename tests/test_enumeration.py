@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -29,7 +30,7 @@ from shallowperm.patterns import (
     find_occurrence,
 )
 from shallowperm.perms import SymmetryClass, SymmetryKind, apply_symmetry
-from shallowperm.shallow import is_shallow
+from shallowperm.shallow import generate_shallow, is_shallow
 
 P132 = classical((1, 3, 2))
 P231 = classical((2, 3, 1))
@@ -199,6 +200,65 @@ class TestCount:
             count(CountQuery(sizes=(4,), method=Method.BOTH))
         assert exc.value.brute == {None: 24}
         assert exc.value.constructive == {None: 23}
+
+
+class TestParentTally:
+    """Unfiltered constructive counts of size n are tallied from size n - 1."""
+
+    REFINED = (None, *REFINEMENTS)
+
+    def test_matches_the_leaf_tallies(self):
+        for refine_by in self.REFINED:
+            query = CountQuery(sizes=(), refine_by=refine_by)
+            for n in range(10):
+                leaves = generate_shallow(n)
+                if refine_by is None:
+                    expected = {None: sum(1 for _ in leaves)}
+                else:
+                    expected = dict(Counter(map(REFINEMENTS[refine_by], leaves)))
+                got = enumeration._counts_for(n, query, Method.CONSTRUCTIVE)
+                assert got == expected, (n, refine_by)
+                assert all(type(c) is int for c in got.values())
+
+    def test_matches_brute_force(self):
+        for refine_by in self.REFINED:
+            # raises MethodDisagreement on any mismatch
+            count(CountQuery(sizes=tuple(range(1, 9)), refine_by=refine_by, method=Method.BOTH))
+
+    def test_totals_at_10_and_11(self):
+        table = count(CountQuery(sizes=(10, 11)))
+        assert table.value(10) == 526018
+        assert table.value(11) == 3206206
+
+    def test_only_filtered_queries_ask_for_the_leaves(self, monkeypatch):
+        asked = []
+        real = enumeration.generate_shallow
+
+        def recording(n):
+            asked.append(n)
+            return real(n)
+
+        monkeypatch.setattr(enumeration, "generate_shallow", recording)
+        for refine_by in self.REFINED:
+            for query, size in (
+                (CountQuery(sizes=(7,), refine_by=refine_by), 6),
+                (CountQuery(sizes=(7,), avoid=(P132,), refine_by=refine_by), 7),
+                (CountQuery(sizes=(7,), symmetry=SymmetryClass.INVOLUTION, refine_by=refine_by), 7),
+            ):
+                asked.clear()
+                count(query)
+                assert asked == [size], query
+
+    def test_memory_does_not_grow_with_class_size(self):
+        tracemalloc.start()
+        try:
+            for refine_by in self.REFINED:
+                query = CountQuery(sizes=(9,), refine_by=refine_by)
+                enumeration._counts_for(9, query, Method.CONSTRUCTIVE)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
 
 
 class TestVerify:

@@ -435,9 +435,9 @@ class TestGenerator:
         for n in range(9):
             for t in all_perms(n):
                 lr, rl = lr_max_flags(t), rl_min_flags(t)
-                expected = [shallow._extend(t, None)] + [
-                    shallow._extend(t, i) for i in range(n) if lr[i] or rl[i]
-                ]
+                slots = [i for i in range(n) if lr[i] or rl[i]]
+                assert shallow._slots(t) == slots, t
+                expected = [shallow._extend(t, None)] + [shallow._extend(t, i) for i in slots]
                 assert list(shallow._children(t)) == expected, t
 
     def test_memory_does_not_grow_with_class_size(self):
