@@ -32,7 +32,7 @@ from .perms import (
     is_in_class,
     lr_max_flags,
 )
-from .shallow import _slots, generate_shallow, is_shallow
+from .shallow import _walk, generate_shallow, is_shallow
 
 
 class SizeCapExceeded(ValueError):
@@ -161,9 +161,9 @@ def _tally_parents(n: int, refine_by: Optional[str]) -> dict[Optional[int], int]
     words of size n - 1, as the generator rests on, and each is a child of
     exactly one parent, its right-operator reduction, at exactly one slot,
     the one that held n (or the end, when n came last). So every word of
-    size n is counted once. A parent t has 1 + len(_slots(t)) children,
-    and a child's statistic follows from t and its slot i, holding
-    v = t[i], with m = len(t):
+    size n is counted once. A parent t, walked with its slots, has
+    1 + len(slots) children, and a child's statistic follows from t and
+    its slot i, holding v = t[i], with m = len(t):
     - cycles: the appended child has one more than t; a slot child has as
       many, since n joins the cycle of slot i;
     - left-to-right maxima: those of t before the new maximum, plus it;
@@ -172,32 +172,38 @@ def _tally_parents(n: int, refine_by: Optional[str]) -> dict[Optional[int], int]
       never a descent, (n, t[i+1]), which always is, and the new last pair
       (t[m-1], v); when i = m - 1 the last pair is (n, v), a descent.
     """
-    parents = generate_shallow(n - 1)
+    parents = _walk(n - 1)
     if refine_by is None:
-        return {None: sum(1 + len(_slots(t)) for t in parents)}
+        return {None: sum(1 + len(slots) for _, slots in parents)}
     # Each statistic of a word of size n lies in 0..n.
     tally = [0] * (n + 1)
     if refine_by == "cycles":
-        for t in parents:
+        for t, slots in parents:
             c = cycle_count(t)
             tally[c + 1] += 1
-            tally[c] += len(_slots(t))
+            tally[c] += len(slots)
     elif refine_by == "lrmax":
-        for t in parents:
-            # before[i] is one more than the left-to-right maxima of t[:i].
-            before = list(itertools.accumulate(lr_max_flags(t), initial=1))
-            tally[before[-1]] += 1
-            for i in _slots(t):
-                tally[before[i]] += 1
+        for t, slots in parents:
+            # Every left-to-right maximum holds a slot, so the running
+            # maximum over the slots is that of the whole prefix, and
+            # before is one more than the left-to-right maxima before i.
+            top = 0
+            before = 1
+            for i in slots:
+                tally[before] += 1
+                if t[i] > top:
+                    top = t[i]
+                    before += 1
+            tally[before] += 1
     else:  # descents
-        for t in parents:
+        for t, slots in parents:
             d = descent_count(t)
             tally[d] += 1
             # w pads t with 0 in front and n at the end, so w[i] = t[i-1]
             # and the pairs at the ends are never descents.
             w = (0, *t, n)
             last = w[-2]
-            for i in _slots(t):
+            for i in slots:
                 v = w[i + 1]
                 tally[d + 1 - (w[i] > v) - (v > w[i + 2]) + (last > v)] += 1
     return {k: c for k, c in enumerate(tally) if c}
@@ -287,10 +293,6 @@ class VerificationReport:
         return self.first_mismatch is None
 
 
-def report_from_pairs(pairs: Iterable[VerificationPair]) -> VerificationReport:
-    return VerificationReport(tuple(pairs))
-
-
 def oracle_values(oracle: str, order: int, refined: bool = False) -> Callable[..., int]:
     """
     The exact values of a named oracle, expanded once up to size order.
@@ -322,23 +324,23 @@ def verify(table: CountTable, oracle: str) -> VerificationReport:
     """
     sizes = sorted({row.n for row in table.rows})
     if not sizes:
-        return report_from_pairs(())
+        return VerificationReport(())
     refined = any(row.k is not None for row in table.rows)
     expected = oracle_values(oracle, max(sizes), refined)
     if refined:
         observed = {(row.n, row.k): row.count for row in table.rows}
-        return report_from_pairs(
+        return VerificationReport(tuple(
             VerificationPair(
                 f"{oracle}[{n},{k}]", n, observed.get((n, k), 0), expected(n, k), k
             )
             for n in sizes
             for k in range(n + 1)
-        )
+        ))
     try:
-        return report_from_pairs(
+        return VerificationReport(tuple(
             VerificationPair(f"{oracle}[{row.n}]", row.n, row.count, expected(row.n))
             for row in table.rows
-        )
+        ))
     except series.OutOfDomain as exc:
         raise OracleDomainError(str(exc)) from None
 

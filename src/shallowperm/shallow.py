@@ -69,20 +69,6 @@ def _reduce(p: Perm, size: int) -> tuple[list[int], list[tuple[int, int | None]]
     return w, trace
 
 
-def _extend(t: Perm, i: int | None) -> Perm:
-    """
-    Undo one right-operator step with no slot check: the new maximum goes
-    to the 0-based slot i and the entry there moves to the end; with
-    i=None the new maximum is appended.
-    """
-    m = len(t) + 1
-    if i is None:
-        return t + (m,)
-    child = [*t, t[i]]
-    child[i] = m
-    return tuple(child)
-
-
 def r_operator(p: Perm) -> Perm:
     """
     Remove the largest value from the right end of the word.
@@ -237,8 +223,9 @@ def extend_right(t: Perm, position: int | None = None) -> Perm:
     >>> extend_right((4, 2, 1, 5, 3), 4)
     (4, 2, 1, 6, 3, 5)
     """
+    m = len(t) + 1
     if position is None:
-        return _extend(t, None)
+        return t + (m,)
     if not 1 <= position <= len(t):
         raise IllegalSlot(f"position {position} outside 1..{len(t)}")
     i = position - 1
@@ -251,7 +238,9 @@ def extend_right(t: Perm, position: int | None = None) -> Perm:
             f"maximum ({larger_before} precedes it) nor a right-to-left "
             f"minimum ({smaller_after} follows it)"
         )
-    return _extend(t, i)
+    child = [*t, v]
+    child[i] = m
+    return tuple(child)
 
 
 def replay_certificate(cert: ShallowCertificate) -> Perm:
@@ -306,75 +295,66 @@ def replay_certificate(cert: ShallowCertificate) -> Perm:
     return word
 
 
-def _slots(t: Perm) -> list[int]:
-    """
-    The 0-based slots of t that hold a left-to-right maximum or a
-    right-to-left minimum, in increasing order.
-
-    One left-to-right pass finds them: t[i] is a left-to-right maximum
-    when it exceeds every entry before it, and a right-to-left minimum
-    when it is the least value that t[:i] lacks.
-    """
-    slots = []
-    seen = [False] * (len(t) + 2)
-    top = 0  # max(t[:i])
-    least = 1  # min of the values missing from t[:i]
-    for i, v in enumerate(t):
-        seen[v] = True
-        if v == least:
-            while seen[least]:
-                least += 1
-        elif v < top:
-            continue
-        if v > top:
-            top = v
-        slots.append(i)
-    return slots
-
-
-def _children(t: Perm) -> Iterator[Perm]:
+def _children(t: Perm, slots: list[int]) -> Iterator[Perm]:
     """
     All words one size larger that reduce to t, each exactly once: the
-    appended child, then each child of _slots(t), as _extend builds them.
+    appended child, then the child of each 0-based slot in slots, which
+    must be the slots of t holding a left-to-right maximum or a
+    right-to-left minimum, in increasing order.
     """
-    # _extend's body, inlined: a call per child costs the generator 5 to
-    # 10% of its speed.
     m = len(t) + 1
     yield t + (m,)
-    for i in _slots(t):
+    for i in slots:
         child = [*t, t[i]]
         child[i] = m
         yield tuple(child)
+
+
+def _walk(n: int) -> Iterator[tuple[Perm, list[int]]]:
+    """
+    Yield every shallow word of size n with its slots, in generator order.
+
+    Each word's slots follow from its parent's, so no word is scanned. For
+    the parent t with m = len(t), the appended child keeps every slot (its
+    prefix is t) and adds m, which holds the maximum. The child of the
+    parent's k-th slot i, holding v = t[i], keeps the slots before i (its
+    prefix is unchanged and the values after each of them are those of t
+    plus the maximum), keeps i (it now holds the maximum), keeps a later
+    slot only as a right-to-left minimum below v (the maximum precedes it
+    and v follows it; a later left-to-right maximum of t exceeds v), and
+    adds m, the last entry v.
+    """
+    if n == 0:
+        yield (), []
+        return
+    for t, slots in _walk(n - 1):
+        m = len(t)
+        children = _children(t, slots)
+        yield next(children), slots + [m]
+        for k, child in enumerate(children):
+            i = slots[k]
+            v = t[i]
+            yield child, slots[:k] + [i] + [j for j in slots[k + 1:] if t[j] < v] + [m]
 
 
 def generate_shallow(n: int) -> Iterator[Perm]:
     """
     Yield every shallow permutation of size n exactly once.
 
-    Walks the tree of right-operator reductions depth first from the
-    singleton word, holding one child iterator per size on the path, so
-    O(n) words are held however large the class is. Leaves come out in
-    the same order as growing the tree level by level. Children of
-    distinct (parent, slot) pairs are distinct because each child reduces
-    back to its parent, so no deduplication is needed.
+    Walks the tree of right-operator reductions depth first from the empty
+    word, one generator per size on the path, so O(n) words are held
+    however large the class is. Leaves come out in the same order as
+    growing the tree level by level. Children of distinct (parent, slot)
+    pairs are distinct because each child reduces back to its parent, so
+    no deduplication is needed.
     """
     if n < 0:
         raise ValueError("size must be nonnegative")
-    if n < 2:
-        yield tuple(range(1, n + 1))
+    if n == 0:
+        yield ()
         return
-    # stack[k] iterates over words of size k + 1.
-    stack: list[Iterator[Perm]] = [iter(((1,),))]
-    while stack:
-        if len(stack) == n - 1:
-            for parent in stack.pop():
-                yield from _children(parent)
-            continue
-        word = next(stack[-1], None)
-        if word is None:
-            stack.pop()
-        else:
-            stack.append(_children(word))
+    for t, slots in _walk(n - 1):
+        yield from _children(t, slots)
 
 
 def wrap_n1(p: Perm) -> Perm:

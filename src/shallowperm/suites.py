@@ -17,7 +17,7 @@ from typing import Callable, Iterable, Optional, Sequence
 from . import series
 from .enumeration import (
     DEFAULT_CAPS, Caps, Method, SizeCapExceeded, VerificationPair, VerificationReport,
-    all_perms, descent_table, oracle_values, profile, report_from_pairs,
+    all_perms, descent_table, oracle_values, profile,
     search_mesh_counterexample, verify,
 )
 from .patterns import POSITION_ANCHORED_3412, VALUE_ANCHORED_3412, avoids, classical
@@ -422,4 +422,4 @@ def run_suite(
     pairs: list[VerificationPair] = []
     for check in SUITES[name]:
         pairs.extend(check(max_n, caps))
-    return report_from_pairs(pairs)
+    return VerificationReport(tuple(pairs))

@@ -15,10 +15,10 @@ from shallowperm.enumeration import (
     MethodDisagreement,
     OracleDomainError,
     SizeCapExceeded,
+    VerificationReport,
     count,
     descent_table,
     profile,
-    report_from_pairs,
     search_mesh_counterexample,
     verify,
 )
@@ -232,22 +232,26 @@ class TestParentTally:
 
     def test_only_filtered_queries_ask_for_the_leaves(self, monkeypatch):
         asked = []
-        real = enumeration.generate_shallow
+        for name in ("_walk", "generate_shallow"):
+            real = getattr(enumeration, name)
 
-        def recording(n):
-            asked.append(n)
-            return real(n)
+            def recording(n, name=name, real=real):
+                asked.append((name, n))
+                return real(n)
 
-        monkeypatch.setattr(enumeration, "generate_shallow", recording)
+            monkeypatch.setattr(enumeration, name, recording)
         for refine_by in self.REFINED:
-            for query, size in (
-                (CountQuery(sizes=(7,), refine_by=refine_by), 6),
-                (CountQuery(sizes=(7,), avoid=(P132,), refine_by=refine_by), 7),
-                (CountQuery(sizes=(7,), symmetry=SymmetryClass.INVOLUTION, refine_by=refine_by), 7),
+            for query, walked in (
+                (CountQuery(sizes=(7,), refine_by=refine_by), ("_walk", 6)),
+                (CountQuery(sizes=(7,), avoid=(P132,), refine_by=refine_by), ("generate_shallow", 7)),
+                (
+                    CountQuery(sizes=(7,), symmetry=SymmetryClass.INVOLUTION, refine_by=refine_by),
+                    ("generate_shallow", 7),
+                ),
             ):
                 asked.clear()
                 count(query)
-                assert asked == [size], query
+                assert asked == [walked], query
 
     def test_memory_does_not_grow_with_class_size(self):
         tracemalloc.start()
@@ -319,7 +323,7 @@ class TestVerify:
             verify(table, "231_leading_pair")
 
     def test_report_from_pairs_empty(self):
-        report = report_from_pairs(())
+        report = VerificationReport(())
         assert report.overall and report.first_mismatch is None
 
 

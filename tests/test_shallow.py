@@ -66,13 +66,18 @@ def reference_certificate(p):
     return tuple(steps)
 
 
+def flag_slots(t):
+    """The 0-based slots of t holding a left-to-right maximum or a
+    right-to-left minimum, from the flag definitions."""
+    lr, rl = lr_max_flags(t), rl_min_flags(t)
+    return [i for i in range(len(t)) if lr[i] or rl[i]]
+
+
 def random_walk(rng, n):
     """A shallow word of size n grown by random legal extend_right steps."""
     t = (1,)
     while len(t) < n:
-        lr, rl = lr_max_flags(t), rl_min_flags(t)
-        slots = [None] + [i + 1 for i in range(len(t)) if lr[i] or rl[i]]
-        t = extend_right(t, rng.choice(slots))
+        t = extend_right(t, rng.choice([None] + [i + 1 for i in flag_slots(t)]))
     return t
 
 
@@ -82,7 +87,11 @@ def level_by_level(n):
         return [()]
     level = [(1,)]
     for _ in range(n - 1):
-        level = [child for parent in level for child in shallow._children(parent)]
+        level = [
+            extend_right(parent, slot)
+            for parent in level
+            for slot in [None] + [i + 1 for i in flag_slots(parent)]
+        ]
     return level
 
 
@@ -432,13 +441,14 @@ class TestGenerator:
             assert list(generate_shallow(n)) == level_by_level(n), n
 
     def test_slot_scan_matches_the_flags(self):
+        for n in range(10):
+            for t, slots in shallow._walk(n):
+                assert slots == flag_slots(t), t
         for n in range(9):
             for t in all_perms(n):
-                lr, rl = lr_max_flags(t), rl_min_flags(t)
-                slots = [i for i in range(n) if lr[i] or rl[i]]
-                assert shallow._slots(t) == slots, t
-                expected = [shallow._extend(t, None)] + [shallow._extend(t, i) for i in slots]
-                assert list(shallow._children(t)) == expected, t
+                slots = flag_slots(t)
+                expected = [extend_right(t, None)] + [extend_right(t, i + 1) for i in slots]
+                assert list(shallow._children(t, slots)) == expected, t
 
     def test_memory_does_not_grow_with_class_size(self):
         tracemalloc.start()
@@ -454,9 +464,9 @@ class TestGenerator:
         children = shallow._children
         expanded = []
 
-        def counting(t):
+        def counting(t, slots):
             expanded.append(t)
-            return children(t)
+            return children(t, slots)
 
         monkeypatch.setattr(shallow, "_children", counting)
         assert next(generate_shallow(12)) == identity(12)
