@@ -137,8 +137,8 @@ def _counts_for(n: int, query: CountQuery, method: Method) -> dict[Optional[int]
             raise MethodDisagreement(n, brute, constructive)
         return constructive
     brute_force = method is Method.BRUTE_FORCE
-    if not brute_force and query.symmetry is None and not query.avoid and n >= 1:
-        return _tally_parents(n, query.refine_by)
+    if not brute_force and query.symmetry is None and not query.avoid and n >= 2:
+        return _tally_grandparents(n, query.refine_by)
     stream: Iterable[Perm] = all_perms(n) if brute_force else generate_shallow(n)
     if query.symmetry is not None:
         stream = filter(partial(is_in_class, cls=query.symmetry), stream)
@@ -152,60 +152,99 @@ def _counts_for(n: int, query: CountQuery, method: Method) -> dict[Optional[int]
     return dict(Counter(map(REFINEMENTS[query.refine_by], stream)))
 
 
-def _tally_parents(n: int, refine_by: Optional[str]) -> dict[Optional[int], int]:
+def _tally_grandparents(n: int, refine_by: Optional[str]) -> dict[Optional[int], int]:
     """
-    The unfiltered constructive counts of size n >= 1, tallied from the
-    shallow words of size n - 1 without building the words of size n.
+    The unfiltered constructive counts of size n >= 2, tallied from the
+    shallow words of size n - 2 without building a word of size n - 1 or n.
 
-    Exact: the shallow words of size n are the children of the shallow
-    words of size n - 1, as the generator rests on, and each is a child of
-    exactly one parent, its right-operator reduction, at exactly one slot,
-    the one that held n (or the end, when n came last). So every word of
-    size n is counted once. A parent t, walked with its slots, has
-    1 + len(slots) children, and a child's statistic follows from t and
-    its slot i, holding v = t[i], with m = len(t):
-    - cycles: the appended child has one more than t; a slot child has as
-      many, since n joins the cycle of slot i;
-    - left-to-right maxima: those of t before the new maximum, plus it;
-    - descents: the appended child has those of t. A slot child loses the
-      pairs (t[i-1], v) and (v, t[i+1]) and gains (t[i-1], n), which is
-      never a descent, (n, t[i+1]), which always is, and the new last pair
-      (t[m-1], v); when i = m - 1 the last pair is (n, v), a descent.
+    Exact: each shallow word of size n is the child of exactly one shallow
+    parent, its right-operator reduction, at exactly one slot, the one that
+    held n (or the end, when n came last); so each has one grandparent,
+    reached by one (slot, slot) path, and is counted once.
+
+    A word t with m = len(t) and s slots has 1 + s children: t + (m+1,),
+    whose slots are those of t and m, and for the k-th slot i (k from 0),
+    holding v = t[i], t with m+1 at i and v appended, whose slots are
+    those before i, i, the r_k later slots holding a value below v, and m.
+    A child has one cycle more than its parent when appended, as many
+    otherwise (the new maximum joins the cycle of its slot), and its
+    left-to-right maxima are those before its slot, plus the new maximum.
+    With c, d and L the cycles, descents and left-to-right maxima of t, r
+    the sum of the r_k, and b_k the left-to-right maxima of t before slot
+    k, the grandchildren of t number s(s-1)/2 + 4s + 2 + r, and
+    - cycles: one has c + 2, 2s + 1 have c + 1, the rest have c;
+    - left-to-right maxima: one each has L + 2 and L + 1; for each k,
+      s - k + 1 have b_k + 1 (the children at slot i of t + (m+1,) and of
+      the children of slots k and after) and 2 + r_k have b_k + 2 (the
+      appended, last-slot and later-slot children of the child of k);
+    - descents: a slot child loses the pairs its slot made with its
+      neighbours and gains the new last pair and (new maximum, right
+      neighbour), always a descent. Pad t with 0 in front and m + 1
+      behind, and let e_k be the descents slot k makes with its
+      neighbours. The children of t + (m+1,) have d, d + 1 (the last
+      slot) and d + 2 - e_k. The child of slot k has d_k = d + 1 - e_k +
+      (t[-1] > v). Its appended child and its child at i have d_k; its
+      child at the last slot, d_k + (t[-1] < v); at a later slot j,
+      d_k + 2 - e_j, since a neighbour it changed stays above t[j] < v
+      and (v, t[j]) is a descent; at an earlier slot j, d_k + 1 - e_j +
+      (v > t[j]), or d_k + 2 - e_j when j = i - 1, whose right neighbour
+      became the new maximum.
     """
-    parents = _walk(n - 1)
-    if refine_by is None:
-        return {None: sum(1 + len(slots) for _, slots in parents)}
     # Each statistic of a word of size n lies in 0..n.
     tally = [0] * (n + 1)
-    if refine_by == "cycles":
-        for t, slots in parents:
+    total = 0
+    for t, slots in _walk(n - 2):
+        s = len(slots)
+        if refine_by == "descents":
+            d = descent_count(t)
+            w = (0, *t, len(t) + 1)
+            last = t[-1] if t else 0
+            e = [(w[i] > w[i + 1]) + (w[i + 1] > w[i + 2]) for i in slots]
+            tally[d] += 1
+            tally[d + 1] += 1
+            for k, i in enumerate(slots):
+                v = t[i]
+                dk = d + 1 - e[k] + (last > v)
+                tally[d + 2 - e[k]] += 1
+                tally[dk] += 2
+                tally[dk + (last < v)] += 1
+                for kk in range(k):
+                    j = slots[kk]
+                    tally[dk + 1 - e[kk] + (v > t[j] or j == i - 1)] += 1
+                for kk in range(k + 1, s):
+                    if t[slots[kk]] < v:
+                        tally[dk + 2 - e[kk]] += 1
+            continue
+        # r_k for each slot k, right to left, from a bitmask of later values.
+        seen = 0
+        below = [0] * s
+        for k in range(s - 1, -1, -1):
+            v = t[slots[k]]
+            below[k] = (seen & ((1 << v) - 1)).bit_count()
+            seen |= 1 << v
+        r = sum(below)
+        if refine_by is None:
+            total += s * (s - 1) // 2 + 4 * s + 2 + r
+        elif refine_by == "cycles":
             c = cycle_count(t)
-            tally[c + 1] += 1
-            tally[c] += len(slots)
-    elif refine_by == "lrmax":
-        for t, slots in parents:
-            # Every left-to-right maximum holds a slot, so the running
-            # maximum over the slots is that of the whole prefix, and
-            # before is one more than the left-to-right maxima before i.
+            tally[c + 2] += 1
+            tally[c + 1] += 2 * s + 1
+            tally[c] += s * (s - 1) // 2 + 2 * s + r
+        else:  # lrmax
+            # Every left-to-right maximum holds a slot, so a running maximum
+            # over the slots counts those before each slot.
             top = 0
-            before = 1
-            for i in slots:
-                tally[before] += 1
+            b = 0
+            for k, i in enumerate(slots):
+                tally[b + 1] += s - k + 1
+                tally[b + 2] += 2 + below[k]
                 if t[i] > top:
                     top = t[i]
-                    before += 1
-            tally[before] += 1
-    else:  # descents
-        for t, slots in parents:
-            d = descent_count(t)
-            tally[d] += 1
-            # w pads t with 0 in front and n at the end, so w[i] = t[i-1]
-            # and the pairs at the ends are never descents.
-            w = (0, *t, n)
-            last = w[-2]
-            for i in slots:
-                v = w[i + 1]
-                tally[d + 1 - (w[i] > v) - (v > w[i + 2]) + (last > v)] += 1
+                    b += 1
+            tally[b + 1] += 1
+            tally[b + 2] += 1
+    if refine_by is None:
+        return {None: total}
     return {k: c for k, c in enumerate(tally) if c}
 
 

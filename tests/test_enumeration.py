@@ -29,8 +29,14 @@ from shallowperm.patterns import (
     classical,
     find_occurrence,
 )
-from shallowperm.perms import SymmetryClass, SymmetryKind, apply_symmetry
-from shallowperm.shallow import generate_shallow, is_shallow
+from shallowperm.perms import (
+    SymmetryClass,
+    SymmetryKind,
+    apply_symmetry,
+    lr_max_flags,
+    statistics,
+)
+from shallowperm.shallow import _walk, extend_right, generate_shallow, is_shallow
 
 P132 = classical((1, 3, 2))
 P231 = classical((2, 3, 1))
@@ -188,6 +194,17 @@ class TestCount:
                 got = {(row.n, row.k): row.count for row in table.rows}
                 assert got == expected, (method, symmetry, avoid, refine_by)
 
+    def test_a_spec_without_a_kernel_matches_a_loop_over_s_n(self):
+        # Classical 3412 has no kernel, so avoids tests it with
+        # find_occurrence; 132, which has one, is tested first.
+        p3412 = classical((3, 4, 1, 2))
+        for avoid in ((p3412,), (P132, p3412)):
+            query = CountQuery(sizes=tuple(range(8)), avoid=avoid, refine_by="descents")
+            expected = reference_rows(query)
+            for method in Method:
+                table = count(dataclasses.replace(query, method=method))
+                assert {(row.n, row.k): row.count for row in table.rows} == expected
+
     def test_method_disagreement_payload(self):
         exc = MethodDisagreement(3, {None: 5}, {None: 6})
         assert exc.n == 3 and exc.brute == {None: 5}
@@ -203,14 +220,48 @@ class TestCount:
 
 
 class TestParentTally:
-    """Unfiltered constructive counts of size n are tallied from size n - 1."""
+    """Unfiltered constructive counts of size n >= 2 are tallied from the
+    shallow words of size n - 2, two growth steps at once; sizes 0 and 1
+    count the leaves. The one-step rules the tally applies twice are
+    checked against the statistics computed from their definitions."""
 
     REFINED = (None, *REFINEMENTS)
+
+    def test_one_step_rules_match_the_statistics(self):
+        for m in range(9):
+            for t, slots in _walk(m):
+                st = statistics(t)
+                lr = lr_max_flags(t)
+                padded = (0, *t, m + 1)
+                children = [(t + (m + 1,), None)]
+                children += [(extend_right(t, i + 1), i) for i in slots]
+                for child, i in children:
+                    sc = statistics(child)
+                    if i is None:
+                        assert sc.cycles == st.cycles + 1
+                        assert sc.descents == st.descents
+                        assert sc.lr_maxima == st.lr_maxima + 1
+                        assert sc.inversions == st.inversions
+                        assert sc.displacement == st.displacement
+                        assert sc.reflection_length == st.reflection_length
+                        continue
+                    v = t[i]
+                    assert sc.cycles == st.cycles
+                    assert sc.descents == (
+                        st.descents + 1 - (padded[i] > v) - (v > padded[i + 2]) + (t[-1] > v)
+                    )
+                    assert sc.lr_maxima == 1 + sum(lr[:i])
+                    # I + T = D passes from t to the child: T grows by one
+                    # and D by one more than I.
+                    grown = 2 * (m - v) + 1 if lr[i] else 2 * (m - i - 1) + 1
+                    assert sc.inversions == st.inversions + grown
+                    assert sc.reflection_length == st.reflection_length + 1
+                    assert sc.displacement == st.displacement + grown + 1
 
     def test_matches_the_leaf_tallies(self):
         for refine_by in self.REFINED:
             query = CountQuery(sizes=(), refine_by=refine_by)
-            for n in range(10):
+            for n in range(11):
                 leaves = generate_shallow(n)
                 if refine_by is None:
                     expected = {None: sum(1 for _ in leaves)}
@@ -242,16 +293,22 @@ class TestParentTally:
             monkeypatch.setattr(enumeration, name, recording)
         for refine_by in self.REFINED:
             for query, walked in (
-                (CountQuery(sizes=(7,), refine_by=refine_by), ("_walk", 6)),
+                (CountQuery(sizes=(7,), refine_by=refine_by), ("_walk", 5)),
                 (CountQuery(sizes=(7,), avoid=(P132,), refine_by=refine_by), ("generate_shallow", 7)),
                 (
                     CountQuery(sizes=(7,), symmetry=SymmetryClass.INVOLUTION, refine_by=refine_by),
                     ("generate_shallow", 7),
                 ),
+                (CountQuery(sizes=(0,), refine_by=refine_by), ("generate_shallow", 0)),
+                (CountQuery(sizes=(1,), refine_by=refine_by), ("generate_shallow", 1)),
+                (CountQuery(sizes=(2,), refine_by=refine_by), ("_walk", 0)),
             ):
                 asked.clear()
-                count(query)
+                table = count(query)
                 assert asked == [walked], query
+                if query.sizes[0] <= 2:
+                    got = {(row.n, row.k): row.count for row in table.rows}
+                    assert got == reference_rows(query), query
 
     def test_memory_does_not_grow_with_class_size(self):
         tracemalloc.start()
