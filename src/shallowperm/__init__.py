@@ -1,94 +1,30 @@
 """Shallow permutations: deciders, generators, pattern checks, and exact
-counting oracles for the lower Diaconis-Graham bound."""
+counting oracles for the lower Diaconis-Graham bound. The root binds the
+entry points and what they return and raise; import the rest from its module."""
 
 from .enumeration import (
     Caps,
     CountQuery,
-    CountRow,
-    CountTable,
-    DEFAULT_CAPS,
     Method,
     MethodDisagreement,
-    OracleDomainError,
-    ProfilePair,
     SizeCapExceeded,
-    StatProfile,
-    VerificationPair,
-    VerificationReport,
     count,
-    descent_table,
     profile,
-    search_mesh_counterexample,
     verify,
 )
-from .patterns import (
-    Anchor,
-    NAMED_SPECS,
-    POSITION_ANCHORED_3412,
-    PatternSpec,
-    VALUE_ANCHORED_3412,
-    avoids,
-    classical,
-    find_occurrence,
-    occurrence_matches,
-    parse_pattern,
-)
-from .perms import (
-    DuplicateEntry,
-    NotAPermutation,
-    ParseError,
-    Perm,
-    StatVector,
-    SymmetryClass,
-    SymmetryKind,
-    apply_symmetry,
-    decreasing,
-    direct_sum,
-    format_permutation,
-    identity,
-    inverse,
-    is_in_class,
-    is_permutation,
-    parse_permutation,
-    reduce_word,
-    reverse_complement,
-    reverse_complement_inverse,
-    skew_sum,
-    statistics,
-    validate_permutation,
-)
-from .series import (
-    BivariateSeries,
-    CLOSED_FORMS,
-    NegativeDegreeResidue,
-    NonIntegerCount,
-    OrderExceeded,
-    OutOfDomain,
-    RationalSeries,
-    ZeroConstantTerm,
-    binomial,
-    catalog,
-    catalog_names,
-    closed_form,
-    coefficient,
-    expand_rational,
-    fibonacci,
-)
+from .patterns import PatternSpec, avoids, parse_pattern
+from .perms import format_permutation, parse_permutation
+from .series import OrderExceeded, catalog
 from .shallow import (
     IllegalSlot,
     ReductionStep,
     ShallowCertificate,
-    SizeTooSmall,
     StepKind,
-    achieves_upper_bound,
     certify_shallow,
     extend_right,
     generate_shallow,
     is_shallow,
-    l_operator,
-    r_operator,
     replay_certificate,
-    wrap_n1,
 )
 from .suites import SUITES, run_suite
 

@@ -1,10 +1,11 @@
 """Brute-force and constructive enumeration of shallow pattern avoiders.
 
 Brute force iterates all of S_n in lexicographic order and filters;
-constructive enumeration streams the shallow generator and filters. Both
-agree by construction, and the "both" method runs each and raises on any
-disagreement. Counts are plain Python ints end to end, so there is no
-word-size ceiling.
+constructive enumeration streams the shallow generator and filters, except
+that an unfiltered count of size 2 or more is tallied from the grandparents,
+the shallow words two sizes down. Both agree by construction, and the
+"both" method runs each and raises on any disagreement. Counts are plain
+Python ints end to end, so there is no word-size ceiling.
 """
 from __future__ import annotations
 

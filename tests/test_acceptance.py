@@ -7,6 +7,8 @@ sizes; criteria without a suite counterpart are spelled out inline.
 """
 from fractions import Fraction
 
+import pytest
+
 from shallowperm import series
 from shallowperm.enumeration import DEFAULT_CAPS, profile, search_mesh_counterexample
 from shallowperm.patterns import POSITION_ANCHORED_3412, VALUE_ANCHORED_3412, avoids
@@ -21,7 +23,6 @@ from shallowperm.suites import (
     check_descent_inverse,
     check_descents,
     check_direct_sum_closure,
-    check_grassmannian,
     check_leading_pair_231,
     check_mesh_necessary,
     check_skew_families,
@@ -55,14 +56,22 @@ def test_criterion_2_table1_reproduction():
     _report("2 Table 1 totals n<=10 (brute cross-check n<=9)", pairs)
 
 
-def test_criterion_3_descent_refinements():
-    pairs = check_descents(9, DEFAULT_CAPS)
+@pytest.fixture(scope="module")
+def descents_rows():
+    """One run of the descents check: its refinement rows, then its Grassmannian rows."""
+    pairs = check_descents(None, DEFAULT_CAPS)
+    refined = [p for p in pairs if p.label.startswith("descents(")]
+    return refined, [p for p in pairs if not p.label.startswith("descents(")]
+
+
+def test_criterion_3_descent_refinements(descents_rows):
+    pairs, _ = descents_rows
     assert {p.n for p in pairs} == set(range(1, 10))
     _report("3 descent refinements n<=9", pairs)
 
 
-def test_criterion_4_grassmannian():
-    pairs = check_grassmannian(10, DEFAULT_CAPS)
+def test_criterion_4_grassmannian(descents_rows):
+    _, pairs = descents_rows
     assert {p.n for p in pairs} == set(range(2, 11))
     _report("4 grassmannian counts 2<=n<=10", pairs)
 

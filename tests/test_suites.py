@@ -120,3 +120,20 @@ def test_direct_sum_closure_tests_every_pair_once(monkeypatch):
             shallow[a] * shallow[b] for a in range(total + 1) for b in range(total + 1 - a)
         )
         assert check_direct_sum_closure(total, Caps())[0].table_value == pairs
+
+
+def test_descents_suite_builds_each_table_once(monkeypatch):
+    # One 321 table serves both the A321xz rows and the Grassmannian rows.
+    calls = []
+    build = suites.descent_table
+
+    def recording(n_max, avoid, caps):
+        calls.append((n_max, next(name for name, spec in suites.PATTERNS.items() if spec is avoid)))
+        return build(n_max, avoid, caps)
+
+    monkeypatch.setattr(suites, "descent_table", recording)
+    assert run_suite("descents", 8).overall
+    assert calls == [(8, "132"), (8, "321"), (8, "231")]
+    calls.clear()
+    assert run_suite("descents").overall
+    assert calls == [(9, "132"), (10, "321"), (9, "231")]
