@@ -1,11 +1,20 @@
 """Brute-force and constructive enumeration of shallow pattern avoiders.
 
-Brute force iterates all of S_n in lexicographic order and filters;
-constructive enumeration streams the shallow generator and filters, except
-that an unfiltered count of size 2 or more is tallied from the grandparents,
-the shallow words two sizes down. Both agree by construction, and the
-"both" method runs each and raises on any disagreement. Counts are plain
-Python ints end to end, so there is no word-size ceiling.
+Brute force iterates all of S_n in lexicographic order and filters.
+Constructive enumeration walks a tree of shallow words and filters, and
+the query picks the tree:
+
+* a query with a symmetry walks that class's tree (generate_symmetric);
+* otherwise a query that avoids the classical 321 walks the tree of the
+  321-avoiders (generate_321_avoiding);
+* any other query walks the whole tree (generate_shallow), except that an
+  unfiltered count of size 2 or more is tallied from the grandparents, the
+  shallow words two sizes down.
+
+The class and pattern filters then run on every word walked, so a count
+does not depend on the tree chosen. Both methods agree by construction,
+and the "both" method runs each and raises on any disagreement. Counts are
+plain Python ints end to end, so there is no word-size ceiling.
 """
 from __future__ import annotations
 
@@ -33,7 +42,13 @@ from .perms import (
     is_in_class,
     lr_max_flags,
 )
-from .shallow import _walk, generate_shallow, is_shallow
+from .shallow import (
+    _walk,
+    generate_321_avoiding,
+    generate_shallow,
+    generate_symmetric,
+    is_shallow,
+)
 
 
 class SizeCapExceeded(ValueError):
@@ -77,6 +92,9 @@ class Caps:
 
 
 DEFAULT_CAPS = Caps()
+
+_AVOID_132 = (PatternSpec(pattern=(1, 3, 2)),)
+_AVOID_321 = (PatternSpec(pattern=(3, 2, 1)),)
 
 REFINEMENTS: dict[str, Callable[[Perm], int]] = {
     "descents": descent_count,
@@ -140,13 +158,29 @@ def _counts_for(n: int, query: CountQuery, method: Method) -> dict[Optional[int]
     brute_force = method is Method.BRUTE_FORCE
     if not brute_force and query.symmetry is None and not query.avoid and n >= 2:
         return _tally_grandparents(n, query.refine_by)
-    stream: Iterable[Perm] = all_perms(n) if brute_force else generate_shallow(n)
+    stream: Iterable[Perm]
+    if brute_force:
+        stream = all_perms(n)
+    elif query.symmetry is not None:
+        stream = generate_symmetric(n, query.symmetry)
+    elif _AVOID_321[0] in query.avoid:
+        stream = generate_321_avoiding(n)
+    else:
+        stream = generate_shallow(n)
     if query.symmetry is not None:
         stream = filter(partial(is_in_class, cls=query.symmetry), stream)
+    # Over S_n, the specs with a linear-time kernel run before is_shallow and
+    # the others, each a backtracking search, after it.
+    early, late = query.avoid, ()
+    if brute_force and any(spec._kernel is None for spec in early):
+        late = tuple(spec for spec in early if spec._kernel is None)
+        early = tuple(spec for spec in early if spec._kernel is not None)
+    if early:
+        stream = filter(partial(avoids, specs=early), stream)
     if brute_force:
         stream = filter(is_shallow, stream)
-    if query.avoid:
-        stream = filter(partial(avoids, specs=query.avoid), stream)
+    if late:
+        stream = filter(partial(avoids, specs=late), stream)
     if query.refine_by is None:
         total = sum(1 for _ in stream)
         return {None: total} if total else {}
@@ -404,10 +438,6 @@ class ProfilePair:
     left: StatProfile
     right: StatProfile
     consistent: bool
-
-
-_AVOID_132 = (PatternSpec(pattern=(1, 3, 2)),)
-_AVOID_321 = (PatternSpec(pattern=(3, 2, 1)),)
 
 
 def profile(n: int, caps: Caps = DEFAULT_CAPS) -> ProfilePair:

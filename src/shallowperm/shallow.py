@@ -13,13 +13,18 @@ generates every shallow permutation of the next size exactly once.
 from __future__ import annotations
 
 from enum import Enum
-from typing import Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from .perms import (
     Perm,
+    SymmetryClass,
     cycle_count,
     inversion_count,
+    is_in_class,
+    lr_max_flags,
     reduce_word,
+    reverse_complement,
+    rl_min_flags,
     total_displacement,
 )
 
@@ -295,6 +300,9 @@ def replay_certificate(cert: ShallowCertificate) -> Perm:
     return word
 
 
+Pick = Callable[[Perm, list[int]], Iterable[int]]  # see _walk
+
+
 def _children(t: Perm, slots: list[int]) -> Iterator[Perm]:
     """
     All words one size larger that reduce to t, each exactly once: the
@@ -310,9 +318,13 @@ def _children(t: Perm, slots: list[int]) -> Iterator[Perm]:
         yield tuple(child)
 
 
-def _walk(n: int) -> Iterator[tuple[Perm, list[int]]]:
+def _walk(n: int, pick: Optional[Pick] = None) -> Iterator[tuple[Perm, list[int]]]:
     """
     Yield every shallow word of size n with its slots, in generator order.
+    Given pick, walk only a class closed under the right operator: for a
+    member t, pick(t, slots) names the indices k into slots, in increasing
+    order, of the slots whose children stay in the class (the appended
+    child stays exactly when t is in the class, so it always does).
 
     Each word's slots follow from its parent's, so no word is scanned. For
     the parent t with m = len(t), the appended child keeps every slot (its
@@ -327,14 +339,26 @@ def _walk(n: int) -> Iterator[tuple[Perm, list[int]]]:
     if n == 0:
         yield (), []
         return
-    for t, slots in _walk(n - 1):
+    for t, slots in _walk(n - 1, pick):
         m = len(t)
-        children = _children(t, slots)
-        yield next(children), slots + [m]
-        for k, child in enumerate(children):
+        yield t + (m + 1,), slots + [m]
+        for k in range(len(slots)) if pick is None else pick(t, slots):
             i = slots[k]
             v = t[i]
-            yield child, slots[:k] + [i] + [j for j in slots[k + 1:] if t[j] < v] + [m]
+            child = [*t, v]
+            child[i] = m + 1
+            yield tuple(child), slots[:k] + [i] + [j for j in slots[k + 1:] if t[j] < v] + [m]
+
+
+def _leaves(n: int, pick: Optional[Pick] = None) -> Iterator[Perm]:
+    """The words of size n of _walk's tree, without their slots."""
+    if n < 0:
+        raise ValueError("size must be nonnegative")
+    if n == 0:
+        yield ()
+        return
+    for t, slots in _walk(n - 1, pick):
+        yield from _children(t, slots if pick is None else [slots[k] for k in pick(t, slots)])
 
 
 def generate_shallow(n: int) -> Iterator[Perm]:
@@ -348,13 +372,106 @@ def generate_shallow(n: int) -> Iterator[Perm]:
     pairs are distinct because each child reduces back to its parent, so
     no deduplication is needed.
     """
+    return _leaves(n)
+
+
+def _right_to_left_maxima(t: Perm, slots: list[int]) -> list[int]:
+    """
+    The slots of a shallow 321-avoider t whose children avoid 321: those
+    holding a right-to-left maximum of t.
+
+    Every entry of a 321-avoider is a left-to-right maximum or a
+    right-to-left minimum, since any other entry is the 2 of a 321; so
+    slot k is position k. The child at i holds the new maximum at i and
+    v = t[i] last. A later entry above v makes a 321 with them. If every
+    later entry is below v, they increase (with v they would form a 321
+    in t), so no 321 starts at the maximum, and one ending at v would put
+    two entries above v before i, a 321 of t with v.
+    """
+    kept = []
+    top = 0
+    for i in range(len(t) - 1, -1, -1):
+        if t[i] > top:
+            top = t[i]
+            kept.append(i)
+    kept.reverse()
+    return kept
+
+
+def generate_321_avoiding(n: int) -> Iterator[Perm]:
+    """
+    Yield every shallow 321-avoiding permutation of size n exactly once,
+    in generator order, walking only the 321-avoiders' tree.
+
+    The parent of a shallow 321-avoider avoids 321
+    (test_321_avoiders_have_321_avoiding_parents): a slot holds a
+    left-to-right maximum or a right-to-left minimum, never the 2 of a
+    321, so a 321 of a parent survives in each child. So the tree is the
+    generator's with every child that contains 321 pruned, and it holds
+    O(n) words.
+    """
+    return _leaves(n, _right_to_left_maxima)
+
+
+def _fixed_points(t: Perm, slots: list[int]) -> list[int]:
+    """
+    The slots of an involution t whose children are involutions: those
+    holding a fixed point. The child at slot i maps i + 1 to the new
+    maximum and the maximum to v = t[i]; it is an involution exactly when
+    v = i + 1, and then its other entries are those of t.
+    """
+    return [k for k, i in enumerate(slots) if t[i] == i + 1]
+
+
+def _slots(t: Perm) -> list[int]:
+    """The 0-based slots of t, read from its extreme-entry flags."""
+    return [i for i, (lr, rl) in enumerate(zip(lr_max_flags(t), rl_min_flags(t))) if lr or rl]
+
+
+def _two_step_walk(n: int, cls: SymmetryClass) -> Iterator[Perm]:
+    """
+    The shallow words of size n fixed by s, the symmetry of cls, walked
+    two sizes at a time under R2 = L∘R, with L the left operator.
+
+    s∘R∘s = L (test_l_is_r_conjugated) and L∘R = R∘L
+    (test_l_and_r_commute), so s∘R2∘s = R∘L = R2 and R2(u) is s-fixed
+    when u is. R2(u) is shallow too: R keeps shallowness, and so does
+    L = rc∘R∘rc, since rc does. So every member u of size n >= 2 reduces
+    to a member of size n - 2. The words x with L(x) = w are those with
+    R(rc(x)) = rc(w), the reverse complements of the children of rc(w),
+    so the words u with R2(u) = w are the children of those x, each
+    reached once, through x = R(u). Only those in the class are kept.
+    """
+    if n < 2:
+        yield tuple(range(1, n + 1))
+        return
+    for w in _two_step_walk(n - 2, cls):
+        t = reverse_complement(w)
+        for c in _children(t, _slots(t)):
+            x = reverse_complement(c)
+            for u in _children(x, _slots(x)):
+                if is_in_class(u, cls):
+                    yield u
+
+
+def generate_symmetric(n: int, cls: SymmetryClass) -> Iterator[Perm]:
+    """
+    Yield every shallow permutation of size n in the symmetry class cls
+    exactly once, walking only that class's tree, depth first with O(n)
+    words held.
+
+    Involutions come in generator order. Their parents are involutions,
+    since R commutes with the inverse (test_r_commutes_with_inverse), so
+    their tree is the generator's with the children outside the class
+    pruned (see _fixed_points). Centrosymmetric and persymmetric words
+    come two sizes at a time, from their own class two sizes down (see
+    _two_step_walk).
+    """
     if n < 0:
         raise ValueError("size must be nonnegative")
-    if n == 0:
-        yield ()
-        return
-    for t, slots in _walk(n - 1):
-        yield from _children(t, slots)
+    if cls is SymmetryClass.INVOLUTION:
+        return _leaves(n, _fixed_points)
+    return _two_step_walk(n, cls)
 
 
 def wrap_n1(p: Perm) -> Perm:

@@ -23,9 +23,12 @@ from .enumeration import (
 from .patterns import POSITION_ANCHORED_3412, VALUE_ANCHORED_3412, avoids, classical
 from .perms import (
     Perm, SymmetryClass, SymmetryKind, apply_symmetry, decreasing, descent_count, direct_sum,
-    format_permutation, identity, inverse, is_in_class, skew_sum,
+    format_permutation, identity, inverse, skew_sum,
 )
-from .shallow import achieves_upper_bound, certify_shallow, generate_shallow, is_shallow, wrap_n1
+from .shallow import (
+    achieves_upper_bound, certify_shallow, generate_321_avoiding, generate_shallow,
+    generate_symmetric, is_shallow, wrap_n1,
+)
 
 PATTERNS = {
     name: classical(tuple(int(c) for c in name))
@@ -62,17 +65,18 @@ _AVOID = {name: (spec,) for name, spec in PATTERNS.items()}
 _AVOID_3412 = (classical((3, 4, 1, 2)),)
 _AVOID_ANCHORED_3412 = (VALUE_ANCHORED_3412, POSITION_ANCHORED_3412)
 
-_CLASSES = tuple(SymmetryClass)
-_IN_NO_CLASS = (False,) * len(_SYMMETRY_ORACLES)
-
 Row = tuple[str, Callable[[int], int]]  # a label stem and the expected value at n
 
-# Each walk's stream at size n (the shallow generator, brute force, all of
-# S_n, the decreasing word) and the method whose cap bounds it. The streams
-# look generate_shallow and is_shallow up as they run, so a traced or
-# patched decider is the one used.
+# Each walk's stream at size n (the shallow generator, the trees of the
+# 321-avoiders and of each symmetry class, brute force, all of S_n, the
+# decreasing word) and the method whose cap bounds it. The streams look
+# their generator and is_shallow up as they run, so a traced or patched
+# one is the one used.
 WALKS: dict[str, tuple[Callable[[int], Iterable[Perm]], Method]] = {
     "shallow": (lambda n: generate_shallow(n), Method.CONSTRUCTIVE),
+    "321": (lambda n: generate_321_avoiding(n), Method.CONSTRUCTIVE),
+    **{cls.value: (lambda n, cls=cls: generate_symmetric(n, cls), Method.CONSTRUCTIVE)
+       for cls in SymmetryClass},
     "brute": (lambda n: filter(is_shallow, all_perms(n)), Method.BRUTE_FORCE),
     "all": (all_perms, Method.BRUTE_FORCE),
     "decreasing": (lambda n: (decreasing(n),), Method.CONSTRUCTIVE),
@@ -216,22 +220,21 @@ def check_descents(max_n: Optional[int], caps: Caps) -> list[VerificationPair]:
 # ------------------------------------------------------------------- symmetry
 
 
-def _symmetry_flags(p: Perm) -> tuple[bool, ...]:
-    """Per symmetry oracle: p lies in its class and avoids its pattern."""
-    inside = [is_in_class(p, cls) for cls in _CLASSES]
-    if True not in inside:
-        return _IN_NO_CLASS
-    return tuple(
-        [inside[_CLASSES.index(cls)] and avoids(p, _AVOID[name])
-         for name, cls, _ in _SYMMETRY_ORACLES]
-    )
+@_declare(*(cls.value for cls in SymmetryClass))
+def check_symmetry(max_n: Optional[int], caps: Caps) -> list[VerificationPair]:
+    """Each class's tree walked once per size; a word tallies whether it
+    avoids the pattern of each row of its class, and 0 for other rows."""
+    top = _top("involution", 10, max_n, caps)
+    sizes = range(1, top + 1)
+    tally = {n: Counter() for n in sizes}
+    for cls in SymmetryClass:
+        def features(p: Perm, cls: SymmetryClass = cls) -> tuple[bool, ...]:
+            return tuple([c is cls and avoids(p, _AVOID[name]) for name, c, _ in _SYMMETRY_ORACLES])
 
-
-check_symmetry = Check(
-    ("shallow",), 10, first=1, features=_symmetry_flags,
-    rows=lambda top: [(f"{name} {cls.value} vs {oracle}", oracle_values(oracle, max(top, 0)))
-                      for name, cls, oracle in _SYMMETRY_ORACLES],
-)
+        for n, counts in _tally(cls.value, sizes, features).items():
+            tally[n].update(counts)
+    return _rows(tally, [(f"{name} {cls.value} vs {oracle}", oracle_values(oracle, max(top, 0)))
+                         for name, cls, oracle in _SYMMETRY_ORACLES])
 
 
 # -------------------------------------------------------------------- closure
@@ -306,9 +309,9 @@ check_descent_inverse = Check(
 
 
 def _321_tail_broken(p: Perm) -> bool:
+    """For a 321-avoider p: n is followed by two entries or more, and some
+    1-based position k beyond the first of them does not hold k - 1."""
     n = len(p)
-    if not avoids(p, _AVOID["321"]):
-        return False
     j = p.index(n) + 1
     return j < n - 1 and (
         p[-1] != n - 1 or any(p[k - 1] != k - 1 for k in range(j + 2, n + 1))
@@ -316,7 +319,7 @@ def _321_tail_broken(p: Perm) -> bool:
 
 
 check_321_tail_structure = Check(
-    ("shallow",), 9, first=2, features=lambda p: (_321_tail_broken(p),), summed=True,
+    ("321",), 9, first=2, features=lambda p: (_321_tail_broken(p),), summed=True,
     rows=lambda top: [("321 tail structure violations ", _zero)])
 
 check_123_interior_count = Check(

@@ -181,7 +181,7 @@ class TestCount:
         assert all(row.elapsed >= 0 for row in table.rows)
 
     def test_every_filter_combination_matches_a_loop_over_s_n(self):
-        avoid_sets = ((), (P132,), (VALUE_ANCHORED_3412, POSITION_ANCHORED_3412))
+        avoid_sets = ((), (P132,), (P321,), (VALUE_ANCHORED_3412, POSITION_ANCHORED_3412))
         for symmetry, avoid, refine_by in itertools.product(
             (None, *SymmetryClass), avoid_sets, (None, *REFINEMENTS)
         ):
@@ -217,6 +217,12 @@ class TestCount:
             count(CountQuery(sizes=(4,), method=Method.BOTH))
         assert exc.value.brute == {None: 24}
         assert exc.value.constructive == {None: 23}
+        # The avoidance kernel runs before the decider over S_n, which must
+        # still be asked: the 14 321-avoiders of S_4, 13 of them shallow.
+        with pytest.raises(MethodDisagreement) as exc:
+            count(CountQuery(sizes=(4,), avoid=(P321,), method=Method.BOTH))
+        assert exc.value.brute == {None: 14}
+        assert exc.value.constructive == {None: 13}
 
 
 class TestParentTally:
@@ -283,21 +289,34 @@ class TestParentTally:
 
     def test_only_filtered_queries_ask_for_the_leaves(self, monkeypatch):
         asked = []
-        for name in ("_walk", "generate_shallow"):
+        for name in ("_walk", "generate_shallow", "generate_321_avoiding", "generate_symmetric"):
             real = getattr(enumeration, name)
 
-            def recording(n, name=name, real=real):
-                asked.append((name, n))
-                return real(n)
+            def recording(n, *cls, name=name, real=real):
+                asked.append((name, n, *cls))
+                return real(n, *cls)
 
             monkeypatch.setattr(enumeration, name, recording)
+        inv, centro, persym = SymmetryClass
         for refine_by in self.REFINED:
             for query, walked in (
                 (CountQuery(sizes=(7,), refine_by=refine_by), ("_walk", 5)),
                 (CountQuery(sizes=(7,), avoid=(P132,), refine_by=refine_by), ("generate_shallow", 7)),
                 (
-                    CountQuery(sizes=(7,), symmetry=SymmetryClass.INVOLUTION, refine_by=refine_by),
-                    ("generate_shallow", 7),
+                    CountQuery(sizes=(7,), avoid=(P132, P321), refine_by=refine_by),
+                    ("generate_321_avoiding", 7),
+                ),
+                (
+                    CountQuery(sizes=(7,), symmetry=inv, refine_by=refine_by),
+                    ("generate_symmetric", 7, inv),
+                ),
+                (
+                    CountQuery(sizes=(7,), avoid=(P321,), symmetry=centro, refine_by=refine_by),
+                    ("generate_symmetric", 7, centro),
+                ),
+                (
+                    CountQuery(sizes=(7,), symmetry=persym, refine_by=refine_by),
+                    ("generate_symmetric", 7, persym),
                 ),
                 (CountQuery(sizes=(0,), refine_by=refine_by), ("generate_shallow", 0)),
                 (CountQuery(sizes=(1,), refine_by=refine_by), ("generate_shallow", 1)),

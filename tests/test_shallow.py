@@ -9,12 +9,16 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from shallowperm import shallow
+from shallowperm.patterns import avoids, classical, find_occurrence
 from shallowperm.perms import (
+    SymmetryClass,
+    SymmetryKind,
+    apply_symmetry,
     decreasing,
     direct_sum,
     identity,
+    is_in_class,
     lr_max_flags,
-    reverse_complement,
     rl_min_flags,
     skew_sum,
 )
@@ -27,13 +31,32 @@ from shallowperm.shallow import (
     achieves_upper_bound,
     certify_shallow,
     extend_right,
+    generate_321_avoiding,
     generate_shallow,
+    generate_symmetric,
     is_shallow,
     l_operator,
     r_operator,
     replay_certificate,
     wrap_n1,
 )
+
+
+P321 = classical((3, 2, 1))
+
+# The symmetry whose fixed points make up each class.
+CLASS_KIND = {
+    SymmetryClass.INVOLUTION: SymmetryKind.INVERSE,
+    SymmetryClass.CENTROSYMMETRIC: SymmetryKind.REVERSE_COMPLEMENT,
+    SymmetryClass.PERSYMMETRIC: SymmetryKind.REVERSE_COMPLEMENT_INVERSE,
+}
+
+# Each class walk, and the fast test of its class that the counts filter by.
+CLASS_WALKS = {
+    "321": (generate_321_avoiding, lambda p: avoids(p, (P321,))),
+    **{cls.value: (lambda n, cls=cls: generate_symmetric(n, cls),
+                   lambda p, cls=cls: is_in_class(p, cls)) for cls in SymmetryClass},
+}
 
 
 def all_perms(n):
@@ -142,12 +165,33 @@ class TestOperators:
             with pytest.raises(SizeTooSmall):
                 op(())
 
+    # The lemmas behind the class walks, each checked over S_n for n <= 9.
+
     def test_l_is_r_conjugated(self):
-        for n in range(2, 8):
+        # s∘R∘s = L for s = reverse_complement and reverse_complement_inverse.
+        kinds = (SymmetryKind.REVERSE_COMPLEMENT, SymmetryKind.REVERSE_COMPLEMENT_INVERSE)
+        for n in range(2, 10):
             for p in all_perms(n):
-                assert l_operator(p) == reverse_complement(
-                    r_operator(reverse_complement(p))
-                )
+                left = l_operator(p)
+                for kind in kinds:
+                    assert apply_symmetry(r_operator(apply_symmetry(p, kind)), kind) == left
+
+    def test_r_commutes_with_inverse(self):
+        for n in range(2, 10):
+            for p in all_perms(n):
+                inv = apply_symmetry(p, SymmetryKind.INVERSE)
+                assert apply_symmetry(r_operator(inv), SymmetryKind.INVERSE) == r_operator(p)
+
+    def test_l_and_r_commute(self):
+        for n in range(3, 10):
+            for p in all_perms(n):
+                assert l_operator(r_operator(p)) == r_operator(l_operator(p))
+
+    def test_321_avoiders_have_321_avoiding_parents(self):
+        for n in range(2, 10):
+            for p in all_perms(n):
+                if is_shallow(p) and find_occurrence(p, P321) is None:
+                    assert find_occurrence(r_operator(p), P321) is None, p
 
     def test_operators_shrink_by_one(self):
         for p in all_perms(5):
@@ -471,6 +515,61 @@ class TestGenerator:
         monkeypatch.setattr(shallow, "_children", counting)
         assert next(generate_shallow(12)) == identity(12)
         assert len(expanded) <= 12
+
+
+class TestClassWalks:
+    """Each class walk yields its class of shallow words exactly once."""
+
+    def test_walks_match_the_filtered_generator(self):
+        # The 321 and involution trees are pruned generator trees, so their
+        # words also come in generator order.
+        for n in range(11):
+            expected = {name: [] for name in CLASS_WALKS}
+            for p in generate_shallow(n):
+                for name, (_, member) in CLASS_WALKS.items():
+                    if member(p):
+                        expected[name].append(p)
+            for name, (walk, _) in CLASS_WALKS.items():
+                walked = list(walk(n))
+                assert len(walked) == len(set(walked)), (name, n)
+                assert sorted(walked) == sorted(expected[name]), (name, n)
+                if name in ("321", "involution"):
+                    assert walked == expected[name], (name, n)
+
+    def test_walks_match_brute_force(self):
+        # Membership from the definitions: a class is the words its symmetry
+        # fixes, and 321 is searched for by find_occurrence.
+        definitions = {
+            "321": lambda p: find_occurrence(p, P321) is None,
+            **{cls.value: lambda p, kind=kind: apply_symmetry(p, kind) == p
+               for cls, kind in CLASS_KIND.items()},
+        }
+        for n in range(10):
+            shallow_words = [p for p in all_perms(n) if is_shallow(p)]
+            for name, (walk, _) in CLASS_WALKS.items():
+                expected = [p for p in shallow_words if definitions[name](p)]
+                assert sorted(walk(n)) == expected, (name, n)
+
+    def test_counts_at_12(self):
+        assert [sum(1 for _ in walk(12)) for walk, _ in CLASS_WALKS.values()] == [
+            28657, 15511, 4713, 13021,
+        ]
+
+    def test_memory_does_not_grow_with_class_size(self):
+        for name, (walk, _) in CLASS_WALKS.items():
+            tracemalloc.start()
+            try:
+                for _ in walk(11):
+                    pass
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 64 * 1024, name
+
+    def test_negative(self):
+        for walk, _ in CLASS_WALKS.values():
+            with pytest.raises(ValueError):
+                list(walk(-1))
 
 
 class TestWrap:
