@@ -1,8 +1,11 @@
 """Brute-force and constructive enumeration of shallow pattern avoiders.
 
-Brute force iterates all of S_n in lexicographic order and filters.
-Constructive enumeration walks a tree of shallow words and filters, and
-the query picks the tree:
+Brute force visits all of S_n in lexicographic order. A query with a
+symmetry or a classical length-3 spec tests those first, since they keep at
+most a Catalan share of S_n, and is_shallow after; any other query reads
+brute_shallow_words, which decides shallowness from figures carried down the
+prefix tree of S_n, and then filters. Constructive enumeration walks a tree
+of shallow words and filters, and the query picks the tree:
 
 * a query with a symmetry walks that class's tree (generate_symmetric);
 * otherwise a query that avoids the classical 321 walks the tree of the
@@ -148,6 +151,79 @@ def all_perms(n: int) -> Iterator[Perm]:
     return itertools.permutations(range(1, n + 1))
 
 
+def brute_shallow_words(n: int) -> Iterator[Perm]:
+    """
+    The shallow words of size n in lexicographic order: all of S_n walked
+    depth first, each word decided by I + T = D from figures carried down
+    the prefix tree instead of recomputed at the leaf.
+
+    Placing v at position k (from 1) after the values in the bitmask used:
+    - inversions grow by (used >> v).bit_count(), the earlier entries above v;
+    - displacement grows by |v - k|;
+    - closed cycles grow by one exactly when v starts the path that ends at
+      k. The placed pairs i -> p_i form cycles and paths; start[e] is the
+      first node of the path that ends at e, end[s] the last of the path
+      that starts at s. Position k is unplaced, so it ends one path, from
+      s = start[k]; v is unused, so it starts one. k -> v closes the cycle
+      when v = s and otherwise joins the two paths: start[end[v]] becomes s
+      and end[s] becomes end[v], both restored on backtrack.
+    T is n minus the cycles, so a word is shallow exactly when the balance
+    n + I - D - (closed cycles), carried as one int, ends at 0. The frame of
+    position n - 2 places the last two entries itself. The walk holds O(n)
+    ints; test_brute_walk_equals_the_filtered_s_n checks it against
+    is_shallow over S_n for n <= 9.
+    """
+    if n < 3:
+        yield from all_perms(n)  # every word of size 2 or less is shallow
+        return
+    m = n - 1
+    full = (1 << (n + 1)) - 2  # the values 1..n
+    word = [0] * n
+    start = list(range(n + 1))
+    end = list(range(n + 1))
+
+    def place(k: int, used: int, b: int) -> Iterator[Perm]:
+        s = start[k]
+        free = full ^ used
+        while free:
+            low = free & -free
+            free ^= low
+            v = low.bit_length() - 1
+            word[k - 1] = v
+            bv = b + (used >> v).bit_count() - abs(v - k)
+            if v == s:
+                bv -= 1
+            else:
+                e = end[v]
+                start[e] = s
+                end[s] = e
+            if k < n - 2:
+                yield from place(k + 1, used | low, bv)
+            else:
+                # Values a < c are left for positions m and n, the ends of the
+                # two open paths. If the path ending at m starts at a, (a, c)
+                # closes two cycles and (c, a) one; otherwise the reverse.
+                u = used | low
+                left = full ^ u
+                a = (left & -left).bit_length() - 1
+                c = left.bit_length() - 1
+                bv += (u >> a).bit_count() + (u >> c).bit_count()
+                closes = start[m] == a
+                if bv - abs(a - m) - abs(c - n) - 1 - closes == 0:
+                    word[m - 1] = a
+                    word[m] = c
+                    yield tuple(word)
+                if bv - abs(c - m) - abs(a - n) - 1 + closes == 0:
+                    word[m - 1] = c
+                    word[m] = a
+                    yield tuple(word)
+            if v != s:
+                start[e] = v
+                end[s] = k
+
+    yield from place(1, 0, n)
+
+
 def _counts_for(n: int, query: CountQuery, method: Method) -> dict[Optional[int], int]:
     if method is Method.BOTH:
         brute = _counts_for(n, query, Method.BRUTE_FORCE)
@@ -158,9 +234,23 @@ def _counts_for(n: int, query: CountQuery, method: Method) -> dict[Optional[int]
     brute_force = method is Method.BRUTE_FORCE
     if not brute_force and query.symmetry is None and not query.avoid and n >= 2:
         return _tally_grandparents(n, query.refine_by)
+    # Over S_n, a symmetry class or a classical length-3 spec keeps at most a
+    # Catalan share of the words, so the class and the specs with a
+    # linear-time kernel run before is_shallow and the others, each a
+    # backtracking search, after it. Any other brute query reads the walk,
+    # which decides shallowness itself, and then filters.
     stream: Iterable[Perm]
-    if brute_force:
+    early, late = query.avoid, ()
+    decide = brute_force and (
+        query.symmetry is not None
+        or any(len(spec.pattern) == 3 and spec._kernel is not None for spec in early)
+    )
+    if decide:
         stream = all_perms(n)
+        late = tuple(spec for spec in early if spec._kernel is None)
+        early = tuple(spec for spec in early if spec._kernel is not None)
+    elif brute_force:
+        stream = brute_shallow_words(n)
     elif query.symmetry is not None:
         stream = generate_symmetric(n, query.symmetry)
     elif _AVOID_321[0] in query.avoid:
@@ -169,15 +259,9 @@ def _counts_for(n: int, query: CountQuery, method: Method) -> dict[Optional[int]
         stream = generate_shallow(n)
     if query.symmetry is not None:
         stream = filter(partial(is_in_class, cls=query.symmetry), stream)
-    # Over S_n, the specs with a linear-time kernel run before is_shallow and
-    # the others, each a backtracking search, after it.
-    early, late = query.avoid, ()
-    if brute_force and any(spec._kernel is None for spec in early):
-        late = tuple(spec for spec in early if spec._kernel is None)
-        early = tuple(spec for spec in early if spec._kernel is not None)
     if early:
         stream = filter(partial(avoids, specs=early), stream)
-    if brute_force:
+    if decide:
         stream = filter(is_shallow, stream)
     if late:
         stream = filter(partial(avoids, specs=late), stream)

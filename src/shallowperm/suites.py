@@ -17,7 +17,7 @@ from typing import Callable, Iterable, Optional, Sequence
 from . import series
 from .enumeration import (
     DEFAULT_CAPS, Caps, Method, SizeCapExceeded, VerificationPair, VerificationReport,
-    all_perms, descent_table, oracle_values, profile,
+    all_perms, brute_shallow_words, descent_table, oracle_values, profile,
     search_mesh_counterexample, verify,
 )
 from .patterns import POSITION_ANCHORED_3412, VALUE_ANCHORED_3412, avoids, classical
@@ -69,15 +69,16 @@ Row = tuple[str, Callable[[int], int]]  # a label stem and the expected value at
 
 # Each walk's stream at size n (the shallow generator, the trees of the
 # 321-avoiders and of each symmetry class, brute force, all of S_n, the
-# decreasing word) and the method whose cap bounds it. The streams look
-# their generator and is_shallow up as they run, so a traced or patched
-# one is the one used.
+# decreasing word) and the method whose cap bounds it. Brute force reads
+# brute_shallow_words, which decides I + T = D from figures carried down the
+# prefix tree of S_n, without is_shallow. The streams look their generator
+# or walk up as they run, so a traced or patched one is the one used.
 WALKS: dict[str, tuple[Callable[[int], Iterable[Perm]], Method]] = {
     "shallow": (lambda n: generate_shallow(n), Method.CONSTRUCTIVE),
     "321": (lambda n: generate_321_avoiding(n), Method.CONSTRUCTIVE),
     **{cls.value: (lambda n, cls=cls: generate_symmetric(n, cls), Method.CONSTRUCTIVE)
        for cls in SymmetryClass},
-    "brute": (lambda n: filter(is_shallow, all_perms(n)), Method.BRUTE_FORCE),
+    "brute": (lambda n: brute_shallow_words(n), Method.BRUTE_FORCE),
     "all": (all_perms, Method.BRUTE_FORCE),
     "decreasing": (lambda n: (decreasing(n),), Method.CONSTRUCTIVE),
 }

@@ -212,17 +212,56 @@ class TestCount:
     def test_both_detects_a_broken_decider(self, monkeypatch):
         import shallowperm.enumeration as en
 
-        monkeypatch.setattr(en, "is_shallow", lambda p: True)
+        # An unfiltered brute count reads the walk: a walk that keeps all of
+        # S_4 is caught.
+        monkeypatch.setattr(en, "brute_shallow_words", en.all_perms)
         with pytest.raises(MethodDisagreement) as exc:
             count(CountQuery(sizes=(4,), method=Method.BOTH))
         assert exc.value.brute == {None: 24}
         assert exc.value.constructive == {None: 23}
         # The avoidance kernel runs before the decider over S_n, which must
         # still be asked: the 14 321-avoiders of S_4, 13 of them shallow.
+        monkeypatch.setattr(en, "is_shallow", lambda p: True)
         with pytest.raises(MethodDisagreement) as exc:
             count(CountQuery(sizes=(4,), avoid=(P321,), method=Method.BOTH))
         assert exc.value.brute == {None: 14}
         assert exc.value.constructive == {None: 13}
+
+
+class TestBruteWalk:
+    def test_brute_walk_equals_the_filtered_s_n(self):
+        for n in range(10):
+            expected = [p for p in enumeration.all_perms(n) if is_shallow(p)]
+            assert list(enumeration.brute_shallow_words(n)) == expected, n
+
+    def test_brute_walk_holds_o_n_memory(self):
+        # The 88,197 shallow words of S_9 would take megabytes if kept.
+        tracemalloc.start()
+        try:
+            walked = sum(1 for _ in enumeration.brute_shallow_words(9))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert walked == 88197
+        assert peak < 16 * 1024
+
+    def test_only_class_and_length_3_queries_ask_the_decider(self, monkeypatch):
+        # Over S_6 a symmetry or a classical length-3 spec runs first, so
+        # is_shallow sees only its members: the 132 321-avoiders or the 76
+        # involutions. Every other brute query reads the walk.
+        asked = []
+        monkeypatch.setattr(enumeration, "is_shallow", lambda p: asked.append(p) or is_shallow(p))
+        for avoid, symmetry, calls in (
+            ((), None, 0),
+            ((VALUE_ANCHORED_3412, POSITION_ANCHORED_3412), None, 0),
+            ((classical((3, 4, 1, 2)),), None, 0),
+            ((P321,), None, 132),
+            ((), SymmetryClass.INVOLUTION, 76),
+        ):
+            asked.clear()
+            count(CountQuery(sizes=(6,), avoid=avoid, symmetry=symmetry,
+                             method=Method.BRUTE_FORCE))
+            assert len(asked) == calls, (avoid, symmetry)
 
 
 class TestParentTally:
