@@ -1,11 +1,12 @@
 """Brute-force and constructive enumeration of shallow pattern avoiders.
 
+Counts and profiles read their words from one stream per size, _words.
 Brute force visits all of S_n in lexicographic order. A query with a
-symmetry or a classical length-3 spec tests those first, since they keep at
-most a Catalan share of S_n, and is_shallow after; any other query reads
-brute_shallow_words, which decides shallowness from figures carried down the
-prefix tree of S_n, and then filters. Constructive enumeration walks a tree
-of shallow words and filters, and the query picks the tree:
+symmetry tests the class first, since it keeps at most a Catalan share of
+S_n, and is_shallow after; any other query reads brute_shallow_words, which
+decides shallowness from figures carried down the prefix tree of S_n.
+Constructive enumeration walks a tree of shallow words, and the query picks
+the tree:
 
 * a query with a symmetry walks that class's tree (generate_symmetric);
 * otherwise a query that avoids the classical 321 walks the tree of the
@@ -14,10 +15,11 @@ of shallow words and filters, and the query picks the tree:
   unfiltered count of size 2 or more is tallied from the grandparents, the
   shallow words two sizes down.
 
-The class and pattern filters then run on every word walked, so a count
-does not depend on the tree chosen. Both methods agree by construction,
-and the "both" method runs each and raises on any disagreement. Counts are
-plain Python ints end to end, so there is no word-size ceiling.
+The class filter and then the pattern filter run on every word of the
+stream, so a count does not depend on the route taken. Both methods agree
+by construction, and the "both" method runs each and raises on any
+disagreement. Counts are plain Python ints end to end, so there is no
+word-size ceiling.
 """
 from __future__ import annotations
 
@@ -201,19 +203,20 @@ def brute_shallow_words(n: int) -> Iterator[Perm]:
                 yield from place(k + 1, used | low, bv)
             else:
                 # Values a < c are left for positions m and n, the ends of the
-                # two open paths. If the path ending at m starts at a, (a, c)
-                # closes two cycles and (c, a) one; otherwise the reverse.
-                u = used | low
-                left = full ^ u
+                # two open paths, so a <= m; every value above c is placed,
+                # and every value above a but c. If the path ending at m
+                # starts at a, (a, c) closes two cycles and (c, a) one;
+                # otherwise the reverse. So (a, c) lowers the balance by
+                # 1 + closes, and (c, a) by 3 - closes if c = n, else 1 - closes.
+                left = full ^ used ^ low
                 a = (left & -left).bit_length() - 1
                 c = left.bit_length() - 1
-                bv += (u >> a).bit_count() + (u >> c).bit_count()
                 closes = start[m] == a
-                if bv - abs(a - m) - abs(c - n) - 1 - closes == 0:
+                if bv == 1 + closes:
                     word[m - 1] = a
                     word[m] = c
                     yield tuple(word)
-                if bv - abs(c - m) - abs(a - n) - 1 + closes == 0:
+                if bv + closes == (3 if c == n else 1):
                     word[m - 1] = c
                     word[m] = a
                     yield tuple(word)
@@ -224,6 +227,32 @@ def brute_shallow_words(n: int) -> Iterator[Perm]:
     yield from place(1, 0, n)
 
 
+def _words(
+    n: int, avoid: tuple[PatternSpec, ...], symmetry: Optional[SymmetryClass], method: Method
+) -> Iterable[Perm]:
+    """
+    The shallow words of size n that a query keeps, by the routes the
+    module docstring lists: the stream, its class filter, then its specs.
+    """
+    brute_force = method is Method.BRUTE_FORCE
+    stream: Iterable[Perm]
+    if brute_force:
+        stream = all_perms(n) if symmetry is not None else brute_shallow_words(n)
+    elif symmetry is not None:
+        stream = generate_symmetric(n, symmetry)
+    elif _AVOID_321[0] in avoid:
+        stream = generate_321_avoiding(n)
+    else:
+        stream = generate_shallow(n)
+    if symmetry is not None:
+        stream = filter(partial(is_in_class, cls=symmetry), stream)
+        if brute_force:
+            stream = filter(is_shallow, stream)
+    if avoid:
+        stream = filter(partial(avoids, specs=avoid), stream)
+    return stream
+
+
 def _counts_for(n: int, query: CountQuery, method: Method) -> dict[Optional[int], int]:
     if method is Method.BOTH:
         brute = _counts_for(n, query, Method.BRUTE_FORCE)
@@ -231,40 +260,9 @@ def _counts_for(n: int, query: CountQuery, method: Method) -> dict[Optional[int]
         if brute != constructive:
             raise MethodDisagreement(n, brute, constructive)
         return constructive
-    brute_force = method is Method.BRUTE_FORCE
-    if not brute_force and query.symmetry is None and not query.avoid and n >= 2:
+    if method is Method.CONSTRUCTIVE and query.symmetry is None and not query.avoid and n >= 2:
         return _tally_grandparents(n, query.refine_by)
-    # Over S_n, a symmetry class or a classical length-3 spec keeps at most a
-    # Catalan share of the words, so the class and the specs with a
-    # linear-time kernel run before is_shallow and the others, each a
-    # backtracking search, after it. Any other brute query reads the walk,
-    # which decides shallowness itself, and then filters.
-    stream: Iterable[Perm]
-    early, late = query.avoid, ()
-    decide = brute_force and (
-        query.symmetry is not None
-        or any(len(spec.pattern) == 3 and spec._kernel is not None for spec in early)
-    )
-    if decide:
-        stream = all_perms(n)
-        late = tuple(spec for spec in early if spec._kernel is None)
-        early = tuple(spec for spec in early if spec._kernel is not None)
-    elif brute_force:
-        stream = brute_shallow_words(n)
-    elif query.symmetry is not None:
-        stream = generate_symmetric(n, query.symmetry)
-    elif _AVOID_321[0] in query.avoid:
-        stream = generate_321_avoiding(n)
-    else:
-        stream = generate_shallow(n)
-    if query.symmetry is not None:
-        stream = filter(partial(is_in_class, cls=query.symmetry), stream)
-    if early:
-        stream = filter(partial(avoids, specs=early), stream)
-    if decide:
-        stream = filter(is_shallow, stream)
-    if late:
-        stream = filter(partial(avoids, specs=late), stream)
+    stream = _words(n, query.avoid, query.symmetry, method)
     if query.refine_by is None:
         total = sum(1 for _ in stream)
         return {None: total} if total else {}
@@ -533,26 +531,19 @@ def profile(n: int, caps: Caps = DEFAULT_CAPS) -> ProfilePair:
     """
     if n > caps.constructive:
         raise SizeCapExceeded(f"n {n} beyond constructive cap {caps.constructive}")
-    left: Counter = Counter()
-    right: Counter = Counter()
-    for p in generate_shallow(n):
-        if avoids(p, _AVOID_132):
-            left[(cycle_count(p), descent_count(p) + 1)] += 1
-        if avoids(p, _AVOID_321):
-            right[(cycle_count(p), sum(lr_max_flags(p)))] += 1
-    left_profile = StatProfile(
-        n=n,
-        descriptor="shallow 132-avoiding: (cycles, descents+1)",
-        counts=tuple(sorted(left.items())),
-    )
-    right_profile = StatProfile(
-        n=n,
-        descriptor="shallow 321-avoiding: (cycles, left-to-right maxima)",
-        counts=tuple(sorted(right.items())),
-    )
-    return ProfilePair(
-        left=left_profile, right=right_profile, consistent=left == right
-    )
+
+    def side(
+        avoid: tuple[PatternSpec, ...], stat: Callable[[Perm], int], descriptor: str
+    ) -> StatProfile:
+        words = _words(n, avoid, None, Method.CONSTRUCTIVE)
+        tally = Counter(map(lambda p: (cycle_count(p), stat(p)), words))
+        return StatProfile(n=n, descriptor=descriptor, counts=tuple(sorted(tally.items())))
+
+    left = side(_AVOID_132, lambda p: descent_count(p) + 1,
+                "shallow 132-avoiding: (cycles, descents+1)")
+    right = side(_AVOID_321, REFINEMENTS["lrmax"],
+                 "shallow 321-avoiding: (cycles, left-to-right maxima)")
+    return ProfilePair(left=left, right=right, consistent=left.counts == right.counts)
 
 
 def search_mesh_counterexample(

@@ -32,21 +32,6 @@ class DuplicateEntry(ValueError):
     """A word passed to reduce_word has a repeated entry."""
 
 
-def is_permutation(word: Sequence[int]) -> bool:
-    """
-    Check that word is a rearrangement of {1, ..., n} with n = len(word).
-
-    >>> [is_permutation(w) for w in [(), (1,), (2, 1), (1, 1), (0, 1), (3, 1)]]
-    [True, True, True, False, False, False]
-    """
-    n = len(word)
-    if n == 0:
-        return True
-    if min(word) != 1 or max(word) != n:
-        return False
-    return len(set(word)) == n
-
-
 def validate_permutation(word: Iterable[int]) -> Perm:
     """Return the word as a tuple, raising NotAPermutation if invalid."""
     w = tuple(word)

@@ -209,23 +209,30 @@ class TestCount:
         exc = MethodDisagreement(3, {None: 5}, {None: 6})
         assert exc.n == 3 and exc.brute == {None: 5}
 
+    def test_both_detects_a_broken_walk(self, monkeypatch):
+        import shallowperm.enumeration as en
+
+        # Unfiltered and pattern brute counts read the walk: a walk that
+        # keeps all of S_4 is caught, 24 words against 23 shallow ones, and
+        # the 14 321-avoiders of S_4 against the 13 shallow ones.
+        monkeypatch.setattr(en, "brute_shallow_words", en.all_perms)
+        for avoid, brute, constructive in (((), 24, 23), ((P321,), 14, 13)):
+            with pytest.raises(MethodDisagreement) as exc:
+                count(CountQuery(sizes=(4,), avoid=avoid, method=Method.BOTH))
+            assert exc.value.brute == {None: brute}
+            assert exc.value.constructive == {None: constructive}
+
     def test_both_detects_a_broken_decider(self, monkeypatch):
         import shallowperm.enumeration as en
 
-        # An unfiltered brute count reads the walk: a walk that keeps all of
-        # S_4 is caught.
-        monkeypatch.setattr(en, "brute_shallow_words", en.all_perms)
-        with pytest.raises(MethodDisagreement) as exc:
-            count(CountQuery(sizes=(4,), method=Method.BOTH))
-        assert exc.value.brute == {None: 24}
-        assert exc.value.constructive == {None: 23}
-        # The avoidance kernel runs before the decider over S_n, which must
-        # still be asked: the 14 321-avoiders of S_4, 13 of them shallow.
+        # A brute count with a symmetry asks is_shallow of each class member:
+        # a decider that keeps all 10 involutions of S_4 is caught (9 shallow).
         monkeypatch.setattr(en, "is_shallow", lambda p: True)
         with pytest.raises(MethodDisagreement) as exc:
-            count(CountQuery(sizes=(4,), avoid=(P321,), method=Method.BOTH))
-        assert exc.value.brute == {None: 14}
-        assert exc.value.constructive == {None: 13}
+            count(CountQuery(sizes=(4,), symmetry=SymmetryClass.INVOLUTION,
+                             method=Method.BOTH))
+        assert exc.value.brute == {None: 10}
+        assert exc.value.constructive == {None: 9}
 
 
 class TestBruteWalk:
@@ -245,17 +252,16 @@ class TestBruteWalk:
         assert walked == 88197
         assert peak < 16 * 1024
 
-    def test_only_class_and_length_3_queries_ask_the_decider(self, monkeypatch):
-        # Over S_6 a symmetry or a classical length-3 spec runs first, so
-        # is_shallow sees only its members: the 132 321-avoiders or the 76
-        # involutions. Every other brute query reads the walk.
+    def test_only_symmetry_queries_ask_the_decider(self, monkeypatch):
+        # Over S_6 a symmetry runs first, so is_shallow sees only its 76
+        # involutions. Every other brute query, 321 included, reads the walk.
         asked = []
         monkeypatch.setattr(enumeration, "is_shallow", lambda p: asked.append(p) or is_shallow(p))
         for avoid, symmetry, calls in (
             ((), None, 0),
             ((VALUE_ANCHORED_3412, POSITION_ANCHORED_3412), None, 0),
             ((classical((3, 4, 1, 2)),), None, 0),
-            ((P321,), None, 132),
+            ((P321,), None, 0),
             ((), SymmetryClass.INVOLUTION, 76),
         ):
             asked.clear()
@@ -485,6 +491,21 @@ class TestProfile:
         assert profile(1).consistent
         assert not profile(2).consistent
         assert not profile(3).consistent
+
+    def test_multisets_match_the_statistics(self):
+        # Both sides tallied from the definitions over the whole tree,
+        # filtered by find_occurrence rather than the avoids kernels.
+        for n in range(9):
+            left, right = Counter(), Counter()
+            for p in generate_shallow(n):
+                st = statistics(p)
+                if find_occurrence(p, P132) is None:
+                    left[(st.cycles, st.descents + 1)] += 1
+                if find_occurrence(p, P321) is None:
+                    right[(st.cycles, st.lr_maxima)] += 1
+            pair = profile(n)
+            assert pair.left.counts == tuple(sorted(left.items())), n
+            assert pair.right.counts == tuple(sorted(right.items())), n
 
     def test_cap(self):
         with pytest.raises(SizeCapExceeded):
