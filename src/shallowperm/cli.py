@@ -172,7 +172,7 @@ def _cmd_count(args):
         "by": args.by,
         "method": args.method,
     }
-    return 0, parameters, {"method": table.provenance.value, "rows": records}, header, rows
+    return 0, parameters, {"method": table.query.method.value, "rows": records}, header, rows
 
 
 def _cmd_verify(args):

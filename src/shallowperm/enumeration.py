@@ -1,25 +1,25 @@
 """Brute-force and constructive enumeration of shallow pattern avoiders.
 
 Counts and profiles read their words from one stream per size, _words.
-Brute force visits all of S_n in lexicographic order. A query with a
-symmetry tests the class first, since it keeps at most a Catalan share of
-S_n, and is_shallow after; any other query reads brute_shallow_words, which
-decides shallowness from figures carried down the prefix tree of S_n.
-Constructive enumeration walks a tree of shallow words, and the query picks
-the tree:
+Each route yields exactly the shallow words of its set, so the stream
+tests only what the route leaves open:
 
-* a query with a symmetry walks that class's tree (generate_symmetric);
-* otherwise a query that avoids the classical 321 walks the tree of the
-  321-avoiders (generate_321_avoiding);
-* any other query walks the whole tree (generate_shallow), except that an
+* brute force reads brute_shallow_words, which walks S_n in lexicographic
+  order and decides I + T = D from figures carried down the prefix tree
+  (test_brute_walk_equals_the_filtered_s_n); a query with a symmetry then
+  tests the class;
+* a constructive query with a symmetry walks that class's tree
+  (generate_symmetric, exact by TestClassWalks);
+* otherwise one that avoids the classical 321 walks the tree of the
+  321-avoiders (generate_321_avoiding, exact by
+  test_321_avoiders_have_321_avoiding_parents), which settles that spec;
+* any other walks the whole tree (generate_shallow), except that an
   unfiltered count of size 2 or more is tallied from the grandparents, the
   shallow words two sizes down.
 
-The class filter and then the pattern filter run on every word of the
-stream, so a count does not depend on the route taken. Both methods agree
-by construction, and the "both" method runs each and raises on any
-disagreement. Counts are plain Python ints end to end, so there is no
-word-size ceiling.
+The specs the route leaves open then filter the stream once. The "both"
+method runs each method and raises on any disagreement. Counts are plain
+Python ints end to end, so there is no word-size ceiling.
 """
 from __future__ import annotations
 
@@ -49,6 +49,7 @@ from .perms import (
 )
 from .shallow import (
     _walk,
+    certify_shallow,
     generate_321_avoiding,
     generate_shallow,
     generate_symmetric,
@@ -139,7 +140,6 @@ class CountRow:
 class CountTable:
     query: CountQuery
     rows: tuple[CountRow, ...]
-    provenance: Method
 
     def value(self, n: int, k: Optional[int] = None) -> int:
         for row in self.rows:
@@ -175,6 +175,8 @@ def brute_shallow_words(n: int) -> Iterator[Perm]:
     ints; test_brute_walk_equals_the_filtered_s_n checks it against
     is_shallow over S_n for n <= 9.
     """
+    if n < 0:
+        raise ValueError("size must be nonnegative")
     if n < 3:
         yield from all_perms(n)  # every word of size 2 or less is shallow
         return
@@ -231,23 +233,20 @@ def _words(
     n: int, avoid: tuple[PatternSpec, ...], symmetry: Optional[SymmetryClass], method: Method
 ) -> Iterable[Perm]:
     """
-    The shallow words of size n that a query keeps, by the routes the
-    module docstring lists: the stream, its class filter, then its specs.
+    The shallow words of size n that a query keeps: its route's stream (see
+    the module docstring), tested once for each condition the route leaves open.
     """
-    brute_force = method is Method.BRUTE_FORCE
-    stream: Iterable[Perm]
-    if brute_force:
-        stream = all_perms(n) if symmetry is not None else brute_shallow_words(n)
+    if method is Method.BRUTE_FORCE:
+        stream = brute_shallow_words(n)
+        if symmetry is not None:
+            stream = filter(partial(is_in_class, cls=symmetry), stream)
     elif symmetry is not None:
         stream = generate_symmetric(n, symmetry)
     elif _AVOID_321[0] in avoid:
         stream = generate_321_avoiding(n)
+        avoid = tuple(spec for spec in avoid if spec != _AVOID_321[0])
     else:
         stream = generate_shallow(n)
-    if symmetry is not None:
-        stream = filter(partial(is_in_class, cls=symmetry), stream)
-        if brute_force:
-            stream = filter(is_shallow, stream)
     if avoid:
         stream = filter(partial(avoids, specs=avoid), stream)
     return stream
@@ -395,7 +394,7 @@ def count(query: CountQuery, caps: Caps = DEFAULT_CAPS) -> CountTable:
             f"sizes {over} beyond the {query.method.value} cap {limit}"
         )
     rows = _rows(query, lambda n, counts: sorted(counts) if query.refine_by else (None,))
-    return CountTable(query=query, rows=rows, provenance=query.method)
+    return CountTable(query=query, rows=rows)
 
 
 def descent_table(
@@ -413,8 +412,7 @@ def descent_table(
         refine_by="descents",
         method=Method.CONSTRUCTIVE,
     )
-    rows = _rows(query, lambda n, counts: range(n))
-    return CountTable(query=query, rows=rows, provenance=Method.CONSTRUCTIVE)
+    return CountTable(query, _rows(query, lambda n, counts: range(n)))
 
 
 # ---------------------------------------------------------------------------
@@ -554,18 +552,18 @@ def search_mesh_counterexample(
     anchored 3412 patterns, or None if none exists up to n_max.
 
     Any witness is re-checked against both conditions before being
-    returned, through find_occurrence rather than the avoids kernels the
-    search used, so a fault in those kernels cannot confirm itself.
+    returned, through certify_shallow and find_occurrence rather than the
+    is_shallow and avoids that the search used, so a fault in either cannot
+    confirm itself.
     """
     if n_max > caps.brute_force:
         raise SizeCapExceeded(f"n_max {n_max} beyond brute-force cap {caps.brute_force}")
     both = (VALUE_ANCHORED_3412, POSITION_ANCHORED_3412)
     for n in range(1, n_max + 1):
         for p in all_perms(n):
-            if is_shallow(p):
-                continue
-            if avoids(p, both):
-                if is_shallow(p) or any(find_occurrence(p, s) is not None for s in both):
+            if not is_shallow(p) and avoids(p, both):
+                occurs = any(find_occurrence(p, s) is not None for s in both)
+                if occurs or certify_shallow(p).verdict:
                     raise RuntimeError(f"witness self-check failed for {p}")
                 return p
     return None

@@ -212,27 +212,20 @@ class TestCount:
     def test_both_detects_a_broken_walk(self, monkeypatch):
         import shallowperm.enumeration as en
 
-        # Unfiltered and pattern brute counts read the walk: a walk that
-        # keeps all of S_4 is caught, 24 words against 23 shallow ones, and
-        # the 14 321-avoiders of S_4 against the 13 shallow ones.
+        # Every brute count reads the walk: a walk that keeps all of S_4 is
+        # caught, 24 words against 23 shallow ones, the 14 321-avoiders of
+        # S_4 against the 13 shallow ones, and its 10 involutions against 9.
         monkeypatch.setattr(en, "brute_shallow_words", en.all_perms)
-        for avoid, brute, constructive in (((), 24, 23), ((P321,), 14, 13)):
+        for avoid, symmetry, brute, constructive in (
+            ((), None, 24, 23),
+            ((P321,), None, 14, 13),
+            ((), SymmetryClass.INVOLUTION, 10, 9),
+        ):
             with pytest.raises(MethodDisagreement) as exc:
-                count(CountQuery(sizes=(4,), avoid=avoid, method=Method.BOTH))
+                count(CountQuery(sizes=(4,), avoid=avoid, symmetry=symmetry,
+                                 method=Method.BOTH))
             assert exc.value.brute == {None: brute}
             assert exc.value.constructive == {None: constructive}
-
-    def test_both_detects_a_broken_decider(self, monkeypatch):
-        import shallowperm.enumeration as en
-
-        # A brute count with a symmetry asks is_shallow of each class member:
-        # a decider that keeps all 10 involutions of S_4 is caught (9 shallow).
-        monkeypatch.setattr(en, "is_shallow", lambda p: True)
-        with pytest.raises(MethodDisagreement) as exc:
-            count(CountQuery(sizes=(4,), symmetry=SymmetryClass.INVOLUTION,
-                             method=Method.BOTH))
-        assert exc.value.brute == {None: 10}
-        assert exc.value.constructive == {None: 9}
 
 
 class TestBruteWalk:
@@ -252,22 +245,34 @@ class TestBruteWalk:
         assert walked == 88197
         assert peak < 16 * 1024
 
-    def test_only_symmetry_queries_ask_the_decider(self, monkeypatch):
-        # Over S_6 a symmetry runs first, so is_shallow sees only its 76
-        # involutions. Every other brute query, 321 included, reads the walk.
+    def test_negative_size_raises(self):
+        with pytest.raises(ValueError, match="size must be nonnegative"):
+            list(enumeration.brute_shallow_words(-1))
+        with pytest.raises(ValueError, match="size must be nonnegative"):
+            list(enumeration._words(-1, (), None, Method.BRUTE_FORCE))
+
+    def test_no_count_query_asks_the_decider(self, monkeypatch):
+        # Every brute query reads the walk, which calls no is_shallow. A
+        # class tree yields only its class, and the 321 tree only
+        # 321-avoiders, so neither is tested again.
         asked = []
         monkeypatch.setattr(enumeration, "is_shallow", lambda p: asked.append(p) or is_shallow(p))
-        for avoid, symmetry, calls in (
-            ((), None, 0),
-            ((VALUE_ANCHORED_3412, POSITION_ANCHORED_3412), None, 0),
-            ((classical((3, 4, 1, 2)),), None, 0),
-            ((P321,), None, 0),
-            ((), SymmetryClass.INVOLUTION, 76),
+        for avoid, symmetry in (
+            ((), None),
+            ((VALUE_ANCHORED_3412, POSITION_ANCHORED_3412), None),
+            ((classical((3, 4, 1, 2)),), None),
+            ((P321,), None),
+            ((), SymmetryClass.INVOLUTION),
         ):
-            asked.clear()
             count(CountQuery(sizes=(6,), avoid=avoid, symmetry=symmetry,
                              method=Method.BRUTE_FORCE))
-            assert len(asked) == calls, (avoid, symmetry)
+        monkeypatch.setattr(enumeration, "is_in_class", lambda p, cls: asked.append(p))
+        monkeypatch.setattr(enumeration, "avoids", lambda p, specs: asked.append(p))
+        for symmetry in SymmetryClass:
+            count(CountQuery(sizes=(6,), symmetry=symmetry))
+        count(CountQuery(sizes=(6,), avoid=(P321,)))
+        descent_table(6, P321)
+        assert asked == []
 
 
 class TestParentTally:
@@ -409,9 +414,7 @@ class TestVerify:
             dataclasses.replace(row, count=row.count + 1) if row.n == 4 else row
             for row in table.rows
         )
-        corrupted = CountTable(
-            query=table.query, rows=bad_rows, provenance=table.provenance
-        )
+        corrupted = CountTable(query=table.query, rows=bad_rows)
         report = verify(corrupted, "FibOdd")
         assert not report.overall
         assert report.first_mismatch is not None
@@ -521,7 +524,7 @@ class TestProfile:
 
         monkeypatch.setattr(enumeration, "avoids", recorder)
         profile(6)
-        assert len(seen) == 2
+        assert len(seen) == 1  # the 321 side walks the 321 tree, untested
 
 
 class TestMeshSearch:
@@ -538,3 +541,10 @@ class TestMeshSearch:
     def test_cap(self):
         with pytest.raises(SizeCapExceeded):
             search_mesh_counterexample(11)
+
+    def test_a_faulty_decider_cannot_confirm_its_witness(self, monkeypatch):
+        # A decider that calls (1,) non-shallow finds it first; the witness
+        # check asks certify_shallow, not the same decider.
+        monkeypatch.setattr(enumeration, "is_shallow", lambda p: False)
+        with pytest.raises(RuntimeError, match="witness self-check failed"):
+            search_mesh_counterexample(3)
