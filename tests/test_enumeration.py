@@ -209,15 +209,25 @@ class TestCount:
         exc = MethodDisagreement(3, {None: 5}, {None: 6})
         assert exc.n == 3 and exc.brute == {None: 5}
 
+    def test_both_detects_a_broken_decider(self, monkeypatch):
+        import shallowperm.enumeration as en
+
+        # The brute route decides shallowness in its walk of S_n; a walk that
+        # calls every word shallow counts all 24 of S_4 against 23.
+        monkeypatch.setattr(en, "brute_shallow_words", en.all_perms)
+        with pytest.raises(MethodDisagreement) as exc:
+            count(CountQuery(sizes=(4,), method=Method.BOTH))
+        assert exc.value.brute == {None: 24}
+        assert exc.value.constructive == {None: 23}
+
     def test_both_detects_a_broken_walk(self, monkeypatch):
         import shallowperm.enumeration as en
 
-        # Every brute count reads the walk: a walk that keeps all of S_4 is
-        # caught, 24 words against 23 shallow ones, the 14 321-avoiders of
-        # S_4 against the 13 shallow ones, and its 10 involutions against 9.
+        # Filtered brute counts read the same walk: one that keeps all of S_4
+        # is caught, the 14 321-avoiders of S_4 against the 13 shallow ones,
+        # and its 10 involutions against 9.
         monkeypatch.setattr(en, "brute_shallow_words", en.all_perms)
         for avoid, symmetry, brute, constructive in (
-            ((), None, 24, 23),
             ((P321,), None, 14, 13),
             ((), SymmetryClass.INVOLUTION, 10, 9),
         ):
