@@ -62,10 +62,14 @@ _SYMMETRIES = {
 
 
 def _parse_sizes(text: str) -> range:
+    """N or LO..HI; argparse prints an ArgumentTypeError's reason as it is."""
     lo, dots, hi = text.partition("..")
-    sizes = range(int(lo), int(hi if dots else lo) + 1)
+    try:
+        sizes = range(int(lo), int(hi if dots else lo) + 1)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected N or LO..HI, got {text!r}") from None
     if not sizes:
-        raise ValueError(f"empty size range {text!r}")
+        raise argparse.ArgumentTypeError(f"empty size range {text!r}")
     return sizes
 
 

@@ -13,7 +13,9 @@ two anchored specs used by the shallowness theory are
 ``avoids`` decides the eight specs the library ships in one linear pass
 each: 123 and 321 by a running-minimum scan, 132, 231, 213 and 312 by
 Knuth's stack-sorting scan (231-avoiders are the stack-sortable
-permutations), and ``3n12`` and ``u3412`` from their anchors. Every other
+permutations), and ``3n12`` and ``u3412`` from their anchors. Each such
+kernel returns the values of the one occurrence its scan meets, or None,
+so a caller can tell which entries that occurrence uses. Every other
 spec (classical 3412, patterns of length at most 2, other anchors) goes to
 ``find_occurrence``, a backtracking search over index tuples with early
 pruning. That search is also the witness API and the oracle the kernels
@@ -29,6 +31,10 @@ from operator import neg
 from typing import Callable, Iterable, Optional
 
 from .perms import Perm, parse_permutation, validate_permutation
+
+
+# The values that make up one occurrence, in no fixed order, or None.
+_Values = Optional[tuple[int, ...]]
 
 
 class Anchor(Enum):
@@ -65,9 +71,10 @@ class PatternSpec:
                 raise ValueError("pos_last anchor only on the last letter")
 
     @cached_property
-    def _kernel(self) -> Optional[Callable[[Perm], bool]]:
-        """The linear-time avoidance test of this spec, if it has one.
-        Kept on the instance, so avoids need not hash the spec per call."""
+    def _kernel(self) -> Optional[Callable[[Perm], _Values]]:
+        """The linear-time search of this spec, if it has one: the values of
+        one occurrence in a host, or None. Kept on the instance, so avoids
+        need not hash the spec per call."""
         return _KERNELS.get(self)
 
 
@@ -181,100 +188,107 @@ def find_occurrence(host: Perm, spec: PatternSpec) -> Optional[tuple[int, ...]]:
     return search(0, 0)
 
 
-def _no_increasing_triple(seq, top: int) -> bool:
+def _increasing_triple(seq, top: int) -> _Values:
     """
-    No a < b < c in increasing positions: track the smallest value so far
-    and the smallest value with a smaller one before it. Values lie below
-    top.
+    Some a < b < c in increasing positions, or None: track the smallest
+    value so far, and the smallest value with a smaller one before it
+    together with that smaller one. Values lie below top.
     """
-    low = mid = top
+    low = mid = under = top
     for x in seq:
         if x > mid:
-            return False
+            return under, mid, x
         if x > low:
-            mid = x
+            under, mid = low, x
         else:
             low = x
-    return True
+    return None
 
 
-def _stack_sortable(seq, floor: int) -> bool:
+def _stack_failure(seq, floor: int) -> _Values:
     """
-    No b, c, a in increasing positions with a < b < c: one pass of Knuth's
-    stack sort, failing when an entry falls below a value already popped.
-    Values lie above floor.
+    Some b, c, a in increasing positions with a < b < c, or None: one pass
+    of Knuth's stack sort, failing when an entry a falls below the value b
+    last popped, which c popped. Values lie above floor.
     """
     stack: list[int] = []
-    popped = floor
+    popped = by = floor
     for x in seq:
         if x < popped:
-            return False
+            return popped, by, x
         while stack and stack[-1] < x:
             popped = stack.pop()
+            by = x
         stack.append(x)
-    return True
+    return None
 
 
+# Each kernel returns the values of one occurrence of its spec, or None.
 # Reversing a word reverses its patterns; negating it complements them.
-def _avoids_123(p: Perm) -> bool:
-    return _no_increasing_triple(p, len(p) + 1)
+def _find_123(p: Perm) -> _Values:
+    return _increasing_triple(p, len(p) + 1)
 
 
-def _avoids_321(p: Perm) -> bool:
-    return _no_increasing_triple(reversed(p), len(p) + 1)
+def _find_321(p: Perm) -> _Values:
+    return _increasing_triple(reversed(p), len(p) + 1)
 
 
-def _avoids_231(p: Perm) -> bool:
-    return _stack_sortable(p, 0)
+def _find_231(p: Perm) -> _Values:
+    return _stack_failure(p, 0)
 
 
-def _avoids_132(p: Perm) -> bool:
-    return _stack_sortable(reversed(p), 0)
+def _find_132(p: Perm) -> _Values:
+    return _stack_failure(reversed(p), 0)
 
 
-def _avoids_213(p: Perm) -> bool:
-    return _stack_sortable(map(neg, p), -len(p) - 1)
+def _find_213(p: Perm) -> _Values:
+    w = _stack_failure(map(neg, p), -len(p) - 1)
+    return w and tuple(map(neg, w))
 
 
-def _avoids_312(p: Perm) -> bool:
-    return _stack_sortable(map(neg, reversed(p)), -len(p) - 1)
+def _find_312(p: Perm) -> _Values:
+    w = _stack_failure(map(neg, reversed(p)), -len(p) - 1)
+    return w and tuple(map(neg, w))
 
 
-def _avoids_3n12(p: Perm) -> bool:
+def _find_3n12(p: Perm) -> _Values:
     """Contained only when n precedes 1, neither at an end, and some entry
     before n is larger than some entry after 1."""
     n = len(p)
     if n < 4:
-        return True
+        return None
     i = p.index(n)
     j = p.index(1)
-    return not (0 < i < j < n - 1 and max(p[:i]) > min(p[j + 1:]))
+    if not 0 < i < j < n - 1:
+        return None
+    three, two = max(p[:i]), min(p[j + 1:])
+    return (three, n, 1, two) if three > two else None
 
 
-def _avoids_u3412(p: Perm) -> bool:
+def _find_u3412(p: Perm) -> _Values:
     """Contained only when p_n < p_1 and an interior entry above p_1 comes
     before a later interior entry below p_n."""
     if len(p) < 4 or p[-1] > p[0]:
-        return True
+        return None
     first, last = p[0], p[-1]
-    above = False
+    above = 0
     for x in p[1:-1]:
         if x > first:
-            above = True
+            above = x
         elif above and x < last:
-            return False
-    return True
+            return first, above, x, last
+    return None
 
 
 _KERNELS = {
-    classical((1, 2, 3)): _avoids_123,
-    classical((3, 2, 1)): _avoids_321,
-    classical((2, 3, 1)): _avoids_231,
-    classical((1, 3, 2)): _avoids_132,
-    classical((2, 1, 3)): _avoids_213,
-    classical((3, 1, 2)): _avoids_312,
-    VALUE_ANCHORED_3412: _avoids_3n12,
-    POSITION_ANCHORED_3412: _avoids_u3412,
+    classical((1, 2, 3)): _find_123,
+    classical((3, 2, 1)): _find_321,
+    classical((2, 3, 1)): _find_231,
+    classical((1, 3, 2)): _find_132,
+    classical((2, 1, 3)): _find_213,
+    classical((3, 1, 2)): _find_312,
+    VALUE_ANCHORED_3412: _find_3n12,
+    POSITION_ANCHORED_3412: _find_u3412,
 }
 
 
@@ -295,6 +309,6 @@ def avoids(host: Perm, specs: Iterable[PatternSpec]) -> bool:
         if kernel is None:
             if find_occurrence(host, spec) is not None:
                 return False
-        elif not kernel(host):
+        elif kernel(host) is not None:
             return False
     return True

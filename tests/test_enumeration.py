@@ -36,12 +36,14 @@ from shallowperm.perms import (
     lr_max_flags,
     statistics,
 )
-from shallowperm.shallow import _walk, extend_right, generate_shallow, is_shallow
+from shallowperm.shallow import _children, _walk, extend_right, generate_shallow, is_shallow
 
 P132 = classical((1, 3, 2))
 P231 = classical((2, 3, 1))
 P321 = classical((3, 2, 1))
 P123 = classical((1, 2, 3))
+P3412 = classical((3, 4, 1, 2))
+LENGTH_3 = [classical(sigma) for sigma in itertools.permutations((1, 2, 3))]
 
 
 # The symmetry whose fixed points make up each class.
@@ -361,7 +363,12 @@ class TestParentTally:
         for refine_by in self.REFINED:
             for query, walked in (
                 (CountQuery(sizes=(7,), refine_by=refine_by), ("_walk", 5)),
-                (CountQuery(sizes=(7,), avoid=(P132,), refine_by=refine_by), ("generate_shallow", 7)),
+                (CountQuery(sizes=(7,), avoid=(P132,), refine_by=refine_by), ("_walk", 6)),
+                (
+                    CountQuery(sizes=(7,), avoid=(VALUE_ANCHORED_3412,), refine_by=refine_by),
+                    ("generate_shallow", 7),
+                ),
+                (CountQuery(sizes=(7,), avoid=(P3412,), refine_by=refine_by), ("generate_shallow", 7)),
                 (
                     CountQuery(sizes=(7,), avoid=(P132, P321), refine_by=refine_by),
                     ("generate_321_avoiding", 7),
@@ -399,6 +406,51 @@ class TestParentTally:
         finally:
             tracemalloc.stop()
         assert peak < 64 * 1024
+
+
+class TestChildrenLeftOpen:
+    """A whole-tree query that avoids a classical spec with a kernel builds
+    only the children that their parent's occurrence of the spec leaves
+    open, and tests those."""
+
+    def test_children_keep_parent_occurrences_off_their_slot(self):
+        for m in range(9):
+            for t, slots in _walk(m):
+                for spec in LENGTH_3:
+                    values = spec._kernel(t)
+                    if values is None:
+                        continue
+                    # The appended child comes first, with no slot.
+                    for i, child in zip([None, *slots], _children(t, slots)):
+                        if i is None or t[i] not in values:
+                            assert find_occurrence(child, spec) is not None, (t, i, spec)
+
+    def test_route_stream_equals_the_filtered_generator(self):
+        # Every spec with a kernel alone and in pairs, and mixes with the
+        # anchored specs and with 3412, which has none.
+        singles = [*LENGTH_3, VALUE_ANCHORED_3412, POSITION_ANCHORED_3412]
+        queries = [(spec,) for spec in singles] + list(itertools.combinations(singles, 2))
+        queries += [(P132, VALUE_ANCHORED_3412), (P231, P3412), (P123, POSITION_ANCHORED_3412)]
+        for n in range(10):
+            leaves = list(generate_shallow(n))
+            kept = {spec: {p for p in leaves if avoids(p, (spec,))} for spec in singles}
+            for avoid in queries:
+                common = set.intersection(*(kept[spec] for spec in avoid if spec in kept))
+                rest = [spec for spec in avoid if spec not in kept]
+                expected = [p for p in leaves if p in common and avoids(p, rest)]
+                got = list(enumeration._words(n, avoid, None, Method.CONSTRUCTIVE))
+                assert got == expected, (n, avoid)
+
+    def test_a_132_count_tests_under_half_the_leaves(self, monkeypatch):
+        tested = []
+
+        def recording(host, specs):
+            tested.append(host)
+            return avoids(host, specs)
+
+        monkeypatch.setattr(enumeration, "avoids", recording)
+        assert count(CountQuery(sizes=(8,), avoid=(P132,))).value(8) == 610
+        assert 0 < len(tested) < 15205 / 2
 
 
 class TestVerify:

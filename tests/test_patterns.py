@@ -172,10 +172,19 @@ GENERIC_SPECS = [classical(w) for w in ((3, 4, 1, 2), (1,), (1, 2), (2, 1), ())]
 
 class TestKernelsAgainstSearch:
     def test_exhaustive_small_sizes(self):
-        for n in range(8):
+        # A kernel finds nothing exactly when the search does; otherwise the
+        # positions of its distinct values form an occurrence.
+        for n in range(9):
             for p in all_perms(n):
                 for spec in KERNEL_SPECS:
-                    assert avoids(p, (spec,)) == (find_occurrence(p, spec) is None), (p, spec)
+                    values = spec._kernel(p)
+                    assert avoids(p, (spec,)) == (values is None), (p, spec)
+                    if values is None:
+                        assert find_occurrence(p, spec) is None, (p, spec)
+                        continue
+                    positions = tuple(sorted(p.index(v) + 1 for v in values))
+                    assert len(set(values)) == len(values), (p, spec, values)
+                    assert occurrence_matches(p, spec, positions), (p, spec, values)
 
     @settings(max_examples=300)
     @given(st.integers(0, 14).flatmap(lambda n: st.permutations(range(1, n + 1))).map(tuple))
