@@ -351,6 +351,8 @@ def _tally_grandparents(n: int, refine_by: Optional[str]) -> dict[Optional[int],
       and (v, t[j]) is a descent; at an earlier slot j, d_k + 1 - e_j +
       (v > t[j]), or d_k + 2 - e_j when j = i - 1, whose right neighbour
       became the new maximum.
+    test_one_step_rules_match_the_statistics checks these rules against
+    the definitions, and test_matches_the_leaf_tallies the tally.
     """
     # Each statistic of a word of size n lies in 0..n.
     tally = [0] * (n + 1)

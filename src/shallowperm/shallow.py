@@ -334,7 +334,8 @@ def _walk(n: int, pick: Optional[Pick] = None) -> Iterator[tuple[Perm, list[int]
     plus the maximum), keeps i (it now holds the maximum), keeps a later
     slot only as a right-to-left minimum below v (the maximum precedes it
     and v follows it; a later left-to-right maximum of t exceeds v), and
-    adds m, the last entry v.
+    adds m, the last entry v. test_slot_scan_matches_the_flags checks these
+    slots against the flags of each word for n <= 9.
     """
     if n == 0:
         yield (), []

@@ -3,10 +3,10 @@
 Each check is a declaration: its walks, its default top size, and either a
 feature function with rows of a label and an expected value per size (a
 catalog series, a closed form, or zero violations), or the function that
-computes its rows. A walk is the stream of permutations visited at one size,
-and one cap bounds it. A direct call clamps max_n to its walks' caps;
-run_suite rejects a max_n beyond any cap of the suite's walks. The ``all``
-suite is the single entry point CI runs.
+computes its rows. A walk is a count query, whose words are those count
+reads, or a stream, and its method's cap bounds it. A direct call clamps
+max_n to its walks' caps; run_suite rejects a max_n beyond any cap of the
+suite's walks. CI runs the ``all`` suite at its default sizes.
 """
 from __future__ import annotations
 
@@ -16,19 +16,16 @@ from typing import Callable, Iterable, Optional, Sequence
 
 from . import series
 from .enumeration import (
-    DEFAULT_CAPS, Caps, Method, SizeCapExceeded, VerificationPair, VerificationReport,
-    all_perms, brute_shallow_words, descent_table, oracle_values, profile,
+    DEFAULT_CAPS, Caps, CountQuery, Method, SizeCapExceeded, VerificationPair,
+    VerificationReport, _words, all_perms, count, descent_table, oracle_values, profile,
     search_mesh_counterexample, verify,
 )
-from .patterns import POSITION_ANCHORED_3412, VALUE_ANCHORED_3412, avoids, classical
+from .patterns import POSITION_ANCHORED_3412, VALUE_ANCHORED_3412, PatternSpec, avoids, classical
 from .perms import (
     Perm, SymmetryClass, SymmetryKind, apply_symmetry, decreasing, descent_count, direct_sum,
     format_permutation, identity, inverse, skew_sum,
 )
-from .shallow import (
-    achieves_upper_bound, certify_shallow, generate_321_avoiding, generate_shallow,
-    generate_symmetric, is_shallow, wrap_n1,
-)
+from .shallow import achieves_upper_bound, certify_shallow, generate_shallow, is_shallow, wrap_n1
 
 PATTERNS = {
     name: classical(tuple(int(c) for c in name))
@@ -67,32 +64,31 @@ _AVOID_ANCHORED_3412 = (VALUE_ANCHORED_3412, POSITION_ANCHORED_3412)
 
 Row = tuple[str, Callable[[int], int]]  # a label stem and the expected value at n
 
-# Each walk's stream at size n (the shallow generator, the trees of the
-# 321-avoiders and of each symmetry class, brute force, all of S_n, the
-# decreasing word) and the method whose cap bounds it. Brute force reads
-# brute_shallow_words, which decides I + T = D from figures carried down the
-# prefix tree of S_n, without is_shallow. The streams look their generator
-# or walk up as they run, so a traced or patched one is the one used.
-WALKS: dict[str, tuple[Callable[[int], Iterable[Perm]], Method]] = {
-    "shallow": (lambda n: generate_shallow(n), Method.CONSTRUCTIVE),
-    "321": (lambda n: generate_321_avoiding(n), Method.CONSTRUCTIVE),
-    **{cls.value: (lambda n, cls=cls: generate_symmetric(n, cls), Method.CONSTRUCTIVE)
-       for cls in SymmetryClass},
-    "brute": (lambda n: brute_shallow_words(n), Method.BRUTE_FORCE),
-    "all": (all_perms, Method.BRUTE_FORCE),
-    "decreasing": (lambda n: (decreasing(n),), Method.CONSTRUCTIVE),
-}
+
+@dataclasses.dataclass(frozen=True)
+class Walk:
+    """A check's words at each size, bounded by its method's cap: stream(n),
+    or else the words count reads for the query (avoided specs, symmetry
+    class, method) from enumeration._words, so a patched route is the one used."""
+
+    avoid: tuple[PatternSpec, ...] = ()
+    symmetry: Optional[SymmetryClass] = None
+    method: Method = Method.CONSTRUCTIVE
+    stream: Optional[Callable[[int], Iterable[Perm]]] = None
+
+    def words(self, n: int) -> Iterable[Perm]:
+        return self.stream(n) if self.stream else _words(n, self.avoid, self.symmetry, self.method)
 
 
-def _cap(walk: str, caps: Caps) -> tuple[int, str]:
-    """The largest size the walk may visit under caps, and that cap's name."""
-    method = WALKS[walk][1]
-    return caps.limit(method), method.value
+SHALLOW = Walk()
+BRUTE = Walk(method=Method.BRUTE_FORCE)  # brute_shallow_words
+S_N = Walk(method=Method.BRUTE_FORCE, stream=all_perms)
+DECREASING = Walk(stream=lambda n: (decreasing(n),))
 
 
-def _top(walk: str, default: int, max_n: Optional[int], caps: Caps) -> int:
+def _top(walk: Walk, default: int, max_n: Optional[int], caps: Caps) -> int:
     """A check's top size: max_n, else its default, within the walk's cap."""
-    return min(default if max_n is None else max_n, _cap(walk, caps)[0])
+    return min(default if max_n is None else max_n, caps.limit(walk.method))
 
 
 def _zero(n: int) -> int:
@@ -103,25 +99,23 @@ def _zero(n: int) -> int:
 # ---------------------------------------------------------------- oracle tables
 
 
-def _tally(walk: str, sizes: Iterable[int], features: Callable[[Perm], tuple]) -> dict:
-    """One pass of the walk per size, counting how often each features(p) occurs."""
-    stream = WALKS[walk][0]
-    return {n: Counter(map(features, stream(n))) for n in sizes}
-
-
-def _column(tally: dict, i: int) -> dict[int, int]:
-    """Entry i of features(p), summed over the walk at each size."""
-    return {n: sum(f[i] * m for f, m in counts.items()) for n, counts in tally.items()}
+def _tally(
+    walk: Walk, sizes: Iterable[int], width: int, features: Callable[[Perm], tuple]
+) -> list[dict[int, int]]:
+    """One pass of the walk per size; column i < width sums entry i of
+    features(p) over the words of each size."""
+    tally = {n: Counter(map(features, walk.words(n))) for n in sizes}
+    return [{n: sum(f[i] * m for f, m in counts.items()) for n, counts in tally.items()}
+            for i in range(width)]
 
 
 def _rows(
-    tally: dict, rows: Iterable[Row], summed_to: Optional[int] = None
+    columns: Sequence[dict[int, int]], rows: Iterable[Row], summed_to: Optional[int] = None
 ) -> list[VerificationPair]:
-    """Row i observes column i of the tally at each size or, given the top
-    size summed_to, once in total over the sizes."""
+    """Row i observes column i at each size or, given the top size
+    summed_to, once in total over the sizes."""
     pairs = []
-    for i, (stem, expected) in enumerate(rows):
-        column = _column(tally, i)
+    for column, (stem, expected) in zip(columns, rows):
         if summed_to is None:
             pairs += [VerificationPair(f"{stem}[{n}]", n, seen, expected(n))
                       for n, seen in column.items()]
@@ -140,7 +134,7 @@ class Check:
     row is one total over the sizes. Any other check computes its rows.
     """
 
-    walks: tuple[str, ...]
+    walks: tuple[Walk, ...]
     top: Optional[int] = None
     first: int = 0
     features: Optional[Callable[[Perm], tuple]] = None
@@ -153,11 +147,12 @@ class Check:
             return self.compute(max_n, caps)
         (walk,) = self.walks
         top = _top(walk, self.top, max_n, caps)
-        tally = _tally(walk, range(self.first, top + 1), self.features)
-        return _rows(tally, self.rows(top), top if self.summed else None)
+        rows = self.rows(top)
+        columns = _tally(walk, range(self.first, top + 1), len(rows), self.features)
+        return _rows(columns, rows, top if self.summed else None)
 
 
-def _declare(*walks: str) -> Callable[[Callable], Check]:
+def _declare(*walks: Walk) -> Callable[[Callable], Check]:
     """Declare the walks of a check whose rows are not a tally."""
     return lambda compute: Check(walks, compute=compute)
 
@@ -165,35 +160,36 @@ def _declare(*walks: str) -> Callable[[Callable], Check]:
 # --------------------------------------------------------------------- table1
 
 
-def _avoidance(p: Perm) -> tuple[bool, ...]:
-    return tuple([avoids(p, _AVOID[name]) for name, _ in _TOTAL_ORACLES])
-
-
-@_declare("shallow", "brute")
+@_declare(*(Walk(_AVOID[name]) for name, _ in _TOTAL_ORACLES), BRUTE)
 def check_table1(max_n: Optional[int], caps: Caps) -> list[VerificationPair]:
-    n_top = _top("shallow", 10, max_n, caps)
-    built = _tally("shallow", range(1, n_top + 1), _avoidance)
-    brute = _tally("brute", range(1, _top("brute", 9, max_n, caps) + 1), _avoidance)
+    """Each pattern's column as count --avoid reads it, then one brute walk
+    that tests each shallow word of S_n for all six patterns."""
+    n_top = _top(SHALLOW, 10, max_n, caps)
+    sizes = tuple(range(1, n_top + 1))
+    built = [{row.n: row.count for row in count(CountQuery(sizes, _AVOID[name]), caps).rows}
+             for name, _ in _TOTAL_ORACLES]
+    brute = _tally(BRUTE, range(1, _top(BRUTE, 9, max_n, caps) + 1), len(built),
+                   lambda p: tuple([avoids(p, _AVOID[name]) for name, _ in _TOTAL_ORACLES]))
     return _rows(
         built,
         [(f"t_n({name}) vs {oracle}", oracle_values(oracle, max(n_top, 0)))
          for name, oracle in _TOTAL_ORACLES],
     ) + _rows(
         brute,
-        [(f"t_n({name}) brute vs constructive ", _column(built, i).get)
-         for i, (name, _) in enumerate(_TOTAL_ORACLES)],
+        [(f"t_n({name}) brute vs constructive ", column.get)
+         for (name, _), column in zip(_TOTAL_ORACLES, built)],
     )
 
 
 # ------------------------------------------------------------------- descents
 
 
-@_declare("shallow")
+@_declare(SHALLOW)
 def check_descents(max_n: Optional[int], caps: Caps) -> list[VerificationPair]:
     """The descent refinements to size 9, then the Grassmannian counts to size
     10 read from the same 321 table: a word with at most one descent avoids 321."""
-    n_top = _top("shallow", 9, max_n, caps)
-    g_top = _top("shallow", 10, max_n, caps)
+    n_top = _top(SHALLOW, 9, max_n, caps)
+    g_top = _top(SHALLOW, 10, max_n, caps)
     tables = {
         name: descent_table(g_top if name == "321" else n_top, PATTERNS[name], caps)
         for name in ("132", "321", "231")
@@ -221,38 +217,37 @@ def check_descents(max_n: Optional[int], caps: Caps) -> list[VerificationPair]:
 # ------------------------------------------------------------------- symmetry
 
 
-@_declare(*(cls.value for cls in SymmetryClass))
+@_declare(*(Walk(symmetry=cls) for cls in SymmetryClass))
 def check_symmetry(max_n: Optional[int], caps: Caps) -> list[VerificationPair]:
-    """Each class's tree walked once per size; a word tallies whether it
-    avoids the pattern of each row of its class, and 0 for other rows."""
-    top = _top("involution", 10, max_n, caps)
-    sizes = range(1, top + 1)
-    tally = {n: Counter() for n in sizes}
+    """Each class's query walks its tree once per size; a word tallies
+    whether it avoids the pattern of each row of its class."""
+    top = _top(SHALLOW, 10, max_n, caps)
+    columns = {}
     for cls in SymmetryClass:
-        def features(p: Perm, cls: SymmetryClass = cls) -> tuple[bool, ...]:
-            return tuple([c is cls and avoids(p, _AVOID[name]) for name, c, _ in _SYMMETRY_ORACLES])
-
-        for n, counts in _tally(cls.value, sizes, features).items():
-            tally[n].update(counts)
-    return _rows(tally, [(f"{name} {cls.value} vs {oracle}", oracle_values(oracle, max(top, 0)))
-                         for name, cls, oracle in _SYMMETRY_ORACLES])
+        names = [name for name, c, _ in _SYMMETRY_ORACLES if c is cls]
+        tallied = _tally(Walk(symmetry=cls), range(1, top + 1), len(names),
+                         lambda p: tuple([avoids(p, _AVOID[name]) for name in names]))
+        columns.update(((name, cls), column) for name, column in zip(names, tallied))
+    return _rows([columns[name, cls] for name, cls, _ in _SYMMETRY_ORACLES],
+                 [(f"{name} {cls.value} vs {oracle}", oracle_values(oracle, max(top, 0)))
+                  for name, cls, oracle in _SYMMETRY_ORACLES])
 
 
 # -------------------------------------------------------------------- closure
 
 
 check_decider_equivalence = Check(
-    ("all",), 8, features=lambda p: (is_shallow(p) != certify_shallow(p).verdict,),
+    (S_N,), 8, features=lambda p: (is_shallow(p) != certify_shallow(p).verdict,),
     rows=lambda top: [("decider equivalence violations ", _zero)])
 
 check_symmetry_closure = Check(
-    ("shallow",), 7, rows=lambda top: [("symmetry closure violations ", _zero)],
+    (SHALLOW,), 7, rows=lambda top: [("symmetry closure violations ", _zero)],
     features=lambda p: (sum(not is_shallow(apply_symmetry(p, kind)) for kind in SymmetryKind),))
 
 
-@_declare("shallow")
+@_declare(SHALLOW)
 def check_direct_sum_closure(max_n: Optional[int], caps: Caps) -> list[VerificationPair]:
-    total = _top("shallow", 8, max_n, caps)
+    total = _top(SHALLOW, 8, max_n, caps)
     small = [list(generate_shallow(n)) for n in range(total // 2 + 1)]
     bad = 0
     for m in range(total + 1):
@@ -268,17 +263,17 @@ def check_direct_sum_closure(max_n: Optional[int], caps: Caps) -> list[Verificat
 
 
 check_wrap_equivalence = Check(
-    ("all",), 7, features=lambda p: (is_shallow(wrap_n1(p)) != is_shallow(p),),
+    (S_N,), 7, features=lambda p: (is_shallow(wrap_n1(p)) != is_shallow(p),),
     rows=lambda top: [("wrap equivalence violations ", _zero)])
 
 check_decreasing = Check(
-    ("decreasing",), 12, features=lambda p: (not is_shallow(p),), summed=True,
+    (DECREASING,), 12, features=lambda p: (not is_shallow(p),), summed=True,
     rows=lambda top: [("decreasing permutation not shallow ", _zero)])
 
 
-@_declare("decreasing")
+@_declare(DECREASING)
 def check_skew_families(max_n: Optional[int], caps: Caps) -> list[VerificationPair]:
-    top = _top("decreasing", 5, max_n, caps)
+    top = _top(DECREASING, 5, max_n, caps)
     rng = range(top + 1)
     d = decreasing
     family = (
@@ -291,19 +286,20 @@ def check_skew_families(max_n: Optional[int], caps: Caps) -> list[VerificationPa
 
 
 def _boolean_disagreement(p: Perm) -> bool:
+    shallow = is_shallow(p)
     no321 = avoids(p, _AVOID["321"])
-    a = is_shallow(p) and no321
+    a = shallow and no321
     b = no321 and avoids(p, _AVOID_3412)
-    c = is_shallow(p) and achieves_upper_bound(p)
+    c = shallow and achieves_upper_bound(p)
     return not (a == b == c)
 
 
 check_boolean_coincidence = Check(
-    ("all",), 8, features=lambda p: (_boolean_disagreement(p),),
+    (S_N,), 8, features=lambda p: (_boolean_disagreement(p),),
     rows=lambda top: [("boolean coincidence violations ", _zero)])
 
 check_descent_inverse = Check(
-    ("all",), 7, rows=lambda top: [("132 descent/inverse violations ", _zero)], summed=True,
+    (S_N,), 7, rows=lambda top: [("132 descent/inverse violations ", _zero)], summed=True,
     features=lambda p: (
         avoids(p, _AVOID["132"]) and descent_count(p) != descent_count(inverse(p)),
     ))
@@ -320,17 +316,16 @@ def _321_tail_broken(p: Perm) -> bool:
 
 
 check_321_tail_structure = Check(
-    ("321",), 9, first=2, features=lambda p: (_321_tail_broken(p),), summed=True,
+    (Walk(_AVOID["321"]),), 9, first=2, features=lambda p: (_321_tail_broken(p),), summed=True,
     rows=lambda top: [("321 tail structure violations ", _zero)])
 
 check_123_interior_count = Check(
-    ("shallow",), 10, first=3,
-    features=lambda p: (p[0] != len(p) and p[-1] != 1 and avoids(p, _AVOID["123"]),),
+    (Walk(_AVOID["123"]),), 10, first=3, features=lambda p: (p[0] != len(p) and p[-1] != 1,),
     rows=lambda top: [("123 avoiders with interior extremes ",
                        lambda n: 2 * series.binomial(n - 1, 3) + n - 1)])
 
 check_leading_pair_231 = Check(
-    ("shallow",), 10, first=5,
+    (SHALLOW,), 10, first=5,
     features=lambda p: (p[0] == len(p) and p[1] == len(p) - 1 and avoids(p, _AVOID["231"]),),
     rows=lambda top: [("231 avoiders led by top pair ",
                        lambda n: series.closed_form("231_leading_pair", n))])
@@ -340,13 +335,13 @@ check_leading_pair_231 = Check(
 
 
 check_mesh_necessary = Check(
-    ("shallow",), 8, features=lambda p: (not avoids(p, _AVOID_ANCHORED_3412),),
+    (SHALLOW,), 8, features=lambda p: (not avoids(p, _AVOID_ANCHORED_3412),),
     rows=lambda top: [("shallow anchored-3412 violations ", _zero)])
 
 
-@_declare("all")
+@_declare(S_N)
 def check_mesh_counterexample(max_n: Optional[int], caps: Caps) -> list[VerificationPair]:
-    n_top = _top("all", caps.brute_force, max_n, caps)
+    n_top = _top(S_N, caps.brute_force, max_n, caps)
     witness = search_mesh_counterexample(n_top, caps)
     if witness is None:
         label = f"mesh counterexample search (n <= {n_top}): none found"
@@ -361,9 +356,9 @@ def check_mesh_counterexample(max_n: Optional[int], caps: Caps) -> list[Verifica
 # ---------------------------------------------------------------- exploratory
 
 
-@_declare("shallow")
+@_declare(SHALLOW)
 def check_profiles(max_n: Optional[int], caps: Caps) -> list[VerificationPair]:
-    n_top = _top("shallow", 8, max_n, caps)
+    n_top = _top(SHALLOW, 8, max_n, caps)
     pairs: list[VerificationPair] = []
     for n in range(1, n_top + 1):
         pair = profile(n, caps)
@@ -405,10 +400,10 @@ SUITES["all"] = (
     + (check_profiles,)
 )
 
-# Each suite's walks, read once as plain strings: tracing swaps the checks
-# in SUITES for wrappers but leaves strings alone.
-_SUITE_WALKS = {
-    name: {walk for check in checks for walk in check.walks} for name, checks in SUITES.items()
+# Each suite's methods, read once: tracing swaps the checks in SUITES for
+# wrappers but leaves the methods alone.
+_SUITE_METHODS = {
+    name: {w.method for check in checks for w in check.walks} for name, checks in SUITES.items()
 }
 
 
@@ -422,7 +417,7 @@ def run_suite(
     if max_n is not None and max_n < 0:
         raise ValueError(f"max_n must be nonnegative, got {max_n}")
     if max_n is not None:
-        limit, cap_name = min(_cap(walk, caps) for walk in _SUITE_WALKS[name])
+        limit, cap_name = min((caps.limit(m), m.value) for m in _SUITE_METHODS[name])
         if max_n > limit:
             raise SizeCapExceeded(f"max_n {max_n} beyond the {cap_name} cap {limit}")
     pairs: list[VerificationPair] = []

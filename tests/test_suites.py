@@ -1,3 +1,4 @@
+import itertools
 import json
 import time
 import tracemalloc
@@ -5,8 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from shallowperm import suites
-from shallowperm.enumeration import Caps, SizeCapExceeded
+from shallowperm import enumeration, shallow, suites
+from shallowperm.enumeration import Caps, Method, SizeCapExceeded
 from shallowperm.shallow import generate_shallow
 from shallowperm.suites import (
     SUITES,
@@ -69,8 +70,32 @@ def test_suite_runs_at_its_cap_and_rejects_beyond(name):
 
 def test_every_check_declares_a_capped_walk():
     # run_suite rejects an over-cap max_n only through these declarations.
+    # A walk's method is one that both bounds it and routes its words.
     for check in SUITES["all"]:
-        assert check.walks and set(check.walks) <= set(suites.WALKS)
+        assert check.walks
+        for walk in check.walks:
+            assert isinstance(walk, suites.Walk)
+            assert walk.method in (Method.BRUTE_FORCE, Method.CONSTRUCTIVE)
+    for name, checks in SUITES.items():
+        declared = {walk.method for check in checks for walk in check.walks}
+        assert suites._SUITE_METHODS[name] == declared
+
+
+def test_table1_reads_the_count_routes(monkeypatch):
+    # A route that drops one child of each parent shows in each column that
+    # count --avoid reads through it, against both the catalog and brute
+    # force; the 321 column reads the 321 tree, so it still matches.
+    def dropping(n, kernels):
+        for t, slots in shallow._walk(n - 1):
+            yield from itertools.islice(shallow._children(t, slots), 1, None)
+
+    monkeypatch.setattr(enumeration, "_children_left_open", dropping)
+    pairs = run_suite("table1", max_n=6).pairs
+    for name in ("132", "213", "231", "312", "123"):
+        for against in ("vs ", "brute vs "):
+            rows = [p for p in pairs if p.label.startswith(f"t_n({name}) {against}")]
+            assert rows and not all(p.match for p in rows), (name, against)
+    assert all(p.match for p in pairs if p.label.startswith("t_n(321)"))
 
 
 def test_check_decreasing_clamps_to_constructive_cap():
