@@ -17,7 +17,7 @@ tests only what the route leaves open:
   the parents, the shallow words one size down, and builds only the
   children that the parent's occurrence of such a spec leaves open
   (_children_left_open): at n = 8, 38-45% of the leaves for one length-3
-  pattern. This serves counts, descent tables and profile's 132 side;
+  pattern. This serves counts (descent tables too) and profile's 132 side;
 * any other walks the whole tree (generate_shallow), except that an
   unfiltered count of size 2 or more is tallied from the grandparents, the
   shallow words two sizes down.
@@ -309,8 +309,7 @@ def _counts_for(n: int, query: CountQuery, method: Method) -> dict[Optional[int]
         return _tally_grandparents(n, query.refine_by)
     stream = _words(n, query.avoid, query.symmetry, method)
     if query.refine_by is None:
-        total = sum(1 for _ in stream)
-        return {None: total} if total else {}
+        return {None: sum(1 for _ in stream)}
     return dict(Counter(map(REFINEMENTS[query.refine_by], stream)))
 
 
@@ -412,23 +411,9 @@ def _tally_grandparents(n: int, refine_by: Optional[str]) -> dict[Optional[int],
     return {k: c for k, c in enumerate(tally) if c}
 
 
-def _rows(
-    query: CountQuery,
-    keys: Callable[[int, dict[Optional[int], int]], Iterable[Optional[int]]],
-) -> tuple[CountRow, ...]:
-    """One timed enumeration pass per size, then a row per key (absent keys count 0)."""
-    rows: list[CountRow] = []
-    for n in query.sizes:
-        start = time.perf_counter()
-        counts = _counts_for(n, query, query.method)
-        elapsed = time.perf_counter() - start
-        rows.extend(CountRow(n, k, counts.get(k, 0), elapsed) for k in keys(n, counts))
-    return tuple(rows)
-
-
 def count(query: CountQuery, caps: Caps = DEFAULT_CAPS) -> CountTable:
     """
-    Count shallow permutations matching the query, size by size.
+    Count shallow permutations matching the query, one timed pass per size.
 
     With refine_by set, one row per observed statistic value is produced
     (their sum is the unrefined count). The "both" method runs brute force
@@ -438,29 +423,23 @@ def count(query: CountQuery, caps: Caps = DEFAULT_CAPS) -> CountTable:
     limit = caps.limit(query.method)
     over = [n for n in query.sizes if n > limit]
     if over:
-        raise SizeCapExceeded(
-            f"sizes {over} beyond the {query.method.value} cap {limit}"
-        )
-    rows = _rows(query, lambda n, counts: sorted(counts) if query.refine_by else (None,))
-    return CountTable(query=query, rows=rows)
+        raise SizeCapExceeded(f"sizes {over} beyond the {query.method.value} cap {limit}")
+    rows: list[CountRow] = []
+    for n in query.sizes:
+        start = time.perf_counter()
+        counts = _counts_for(n, query, query.method)
+        elapsed = time.perf_counter() - start
+        rows.extend(CountRow(n, k, c, elapsed) for k, c in sorted(counts.items()))
+    return CountTable(query=query, rows=tuple(rows))
 
 
-def descent_table(
-    n_max: int, avoid: PatternSpec, caps: Caps = DEFAULT_CAPS
-) -> CountTable:
+def descent_table(n_max: int, avoid: PatternSpec, caps: Caps = DEFAULT_CAPS) -> CountTable:
     """
-    Constructive descent refinement: one row per (n, k) with 0 <= k < n,
-    zero counts included, for 1 <= n <= n_max.
+    The constructive count of the shallow avoiders of one spec at sizes
+    1..n_max, refined by descents. A descent number with no word has no
+    row; verify counts it as zero.
     """
-    if n_max > caps.constructive:
-        raise SizeCapExceeded(f"n_max {n_max} beyond constructive cap {caps.constructive}")
-    query = CountQuery(
-        sizes=tuple(range(1, n_max + 1)),
-        avoid=(avoid,),
-        refine_by="descents",
-        method=Method.CONSTRUCTIVE,
-    )
-    return CountTable(query, _rows(query, lambda n, counts: range(n)))
+    return count(CountQuery(tuple(range(1, n_max + 1)), (avoid,), refine_by="descents"), caps)
 
 
 # ---------------------------------------------------------------------------
@@ -521,13 +500,13 @@ def verify(table: CountTable, oracle: str) -> VerificationReport:
     Compare every table row against a catalog series or closed-form family.
 
     Unrefined tables check against univariate series (or closed forms);
-    refined tables check against bivariate series, treating statistic
-    values absent from the table as zero.
+    refined tables check against bivariate series, treating each (n, k) of
+    the query's sizes that has no row as zero.
     """
-    sizes = sorted({row.n for row in table.rows})
+    sizes = sorted(set(table.query.sizes))
     if not sizes:
         return VerificationReport(())
-    refined = any(row.k is not None for row in table.rows)
+    refined = table.query.refine_by is not None
     expected = oracle_values(oracle, max(sizes), refined)
     if refined:
         observed = {(row.n, row.k): row.count for row in table.rows}
@@ -576,7 +555,7 @@ def profile(n: int, caps: Caps = DEFAULT_CAPS) -> ProfilePair:
     multisets coincide at this size; it is evidence, not a theorem.
     """
     if n > caps.constructive:
-        raise SizeCapExceeded(f"n {n} beyond constructive cap {caps.constructive}")
+        raise SizeCapExceeded(f"n {n} beyond the constructive cap {caps.constructive}")
 
     def side(
         avoid: tuple[PatternSpec, ...], stat: Callable[[Perm], int], descriptor: str
@@ -605,7 +584,7 @@ def search_mesh_counterexample(
     confirm itself.
     """
     if n_max > caps.brute_force:
-        raise SizeCapExceeded(f"n_max {n_max} beyond brute-force cap {caps.brute_force}")
+        raise SizeCapExceeded(f"n_max {n_max} beyond the brute cap {caps.brute_force}")
     both = (VALUE_ANCHORED_3412, POSITION_ANCHORED_3412)
     for n in range(1, n_max + 1):
         for p in all_perms(n):

@@ -248,6 +248,14 @@ class TestCertify:
         code, out, err = run(capsys, "certify", "4,2,2")
         assert code == 2
 
+    @pytest.mark.parametrize("word, code", [("4,2,1,6,3,5", 0), ("3,4,1,2", 1)])
+    def test_package_runs_as_a_module(self, word, code):
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        done = subprocess.run([sys.executable, "-m", "shallowperm", "certify", word],
+                              capture_output=True, env=env, timeout=60)
+        assert (done.returncode, done.stderr) == (code, b"")
+        assert json.loads(done.stdout)["payload"]["verdict"] is (code == 0)
+
 
 class TestGf:
     def test_univariate(self, capsys):

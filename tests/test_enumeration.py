@@ -483,8 +483,14 @@ class TestVerify:
         assert report.first_mismatch.n == 4
 
     def test_bivariate_oracle(self):
+        # The shallow 321-avoiders of size 3 have at most one descent, so
+        # (3, 2) has no row and verify reads it as zero. A size with no row
+        # at all is read as zero too, so dropping one cannot pass.
         table = descent_table(6, P321)
+        assert (3, 2) not in {(row.n, row.k) for row in table.rows}
         assert verify(table, "A321xz").overall
+        short = CountTable(table.query, tuple(row for row in table.rows if row.n != 6))
+        assert verify(short, "A321xz").first_mismatch.n == 6
 
     def test_shape_mismatch(self):
         table = count(CountQuery(sizes=(4,), avoid=(P321,)))
@@ -527,16 +533,22 @@ class TestDescentTable:
             assert all(table.value(n, 0) == 1 for n in range(1, 6))
         table = descent_table(5, P123)
         assert table.value(1, 0) == 1 and table.value(2, 0) == 1
-        assert all(table.value(n, 0) == 0 for n in range(3, 6))
+        assert not any(row.n >= 3 and row.k == 0 for row in table.rows)
 
-    def test_all_pairs_present(self):
-        table = descent_table(4, P321)
-        assert [(r.n, r.k) for r in table.rows] == [
-            (n, k) for n in range(1, 5) for k in range(n)
-        ]
+    def test_rows_are_the_descent_count(self):
+        # No zero rows: verify reads a missing (n, k) as zero.
+        for spec, n_max in itertools.product(LENGTH_3, range(9)):
+            table = descent_table(n_max, spec)
+            query = CountQuery(tuple(range(1, n_max + 1)), (spec,), refine_by="descents")
+            assert table.query == query
+            assert [(r.n, r.k, r.count) for r in table.rows] == [
+                (r.n, r.k, r.count) for r in count(query).rows
+            ]
+            assert all(r.count for r in table.rows)
 
     def test_cap(self):
-        with pytest.raises(SizeCapExceeded):
+        # count's own check: sizes 1..13 run past the constructive cap.
+        with pytest.raises(SizeCapExceeded, match=r"^sizes \[13\] beyond the constructive cap"):
             descent_table(13, P132)
 
 
