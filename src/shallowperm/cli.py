@@ -150,14 +150,12 @@ def _cmd_count(args):
     except ValueError as exc:
         raise ValueError(f"bad pattern: {exc}") from None
     sizes, method = args.n, Method(args.method)
-    limit = DEFAULT_CAPS.limit(method)
-    # Only the ends of a range wider than the cap are read. A negative
-    # range fails in CountQuery on its first size, so its tail is not copied.
-    if sizes[0] >= 0 and len(sizes) > limit + 1:
-        over = f"{max(sizes[0], limit + 1)}..{sizes[-1]}"
-        raise SizeCapExceeded(f"sizes {over} beyond the {method.value} cap {limit}")
+    # A range is checked from its ends, so one wider than the cap is never copied.
+    if sizes[0] < 0:
+        raise ValueError("sizes must be nonnegative")
+    DEFAULT_CAPS.check(method, "size", sizes[-1])
     table = count(CountQuery(
-        sizes=tuple(sizes[: limit + 2]),
+        sizes=tuple(sizes),
         avoid=specs,
         symmetry=_SYMMETRIES[args.symmetry] if args.symmetry else None,
         refine_by=args.by,

@@ -14,9 +14,9 @@ tests only what the route leaves open:
   321-avoiders (generate_321_avoiding, exact by
   test_321_avoiders_have_321_avoiding_parents), which settles that spec;
 * one of size 2 or more that avoids a classical spec with a kernel walks
-  the parents, the shallow words one size down, and builds only the
-  children that the parent's occurrence of such a spec leaves open
-  (_children_left_open): at n = 8, 38-45% of the leaves for one length-3
+  the whole tree with the specs' kernels (shallow._leaves), which search
+  each parent once and build only the children that the parent's
+  occurrence leaves open: at n = 8, 38-45% of the leaves for one length-3
   pattern. This serves counts (descent tables too) and profile's 132 side;
 * any other walks the whole tree (generate_shallow), except that an
   unfiltered count of size 2 or more is tallied from the grandparents, the
@@ -53,7 +53,7 @@ from .perms import (
     lr_max_flags,
 )
 from .shallow import (
-    _children,
+    _leaves,
     _walk,
     certify_shallow,
     generate_321_avoiding,
@@ -101,6 +101,12 @@ class Caps:
         if method is Method.BOTH:
             return min(self.brute_force, self.constructive)
         return self.brute_force if method is Method.BRUTE_FORCE else self.constructive
+
+    def check(self, method: Method, what: str, value: int) -> None:
+        """Raise SizeCapExceeded when the size named what exceeds the method's cap."""
+        limit = self.limit(method)
+        if value > limit:
+            raise SizeCapExceeded(f"{what} {value} beyond the {method.value} cap {limit}")
 
 
 DEFAULT_CAPS = Caps()
@@ -240,7 +246,8 @@ def _words(
 ) -> Iterable[Perm]:
     """
     The shallow words of size n that a query keeps: its route's stream (see
-    the module docstring), tested once for each condition the route leaves open.
+    the module docstring), tested once for each condition the route leaves
+    open. The kernel route settles no spec, so every spec tests its survivors.
     """
     if method is Method.BRUTE_FORCE:
         stream = brute_shallow_words(n)
@@ -252,50 +259,14 @@ def _words(
         stream = generate_321_avoiding(n)
         avoid = tuple(spec for spec in avoid if spec != _AVOID_321[0])
     else:
-        # The anchor-free specs with a kernel drive the parents' skip.
+        # The anchor-free specs with a kernel drive the parents' skip. An
+        # anchored spec may pin a letter to the maximum or the last position,
+        # which both move from parent to child, so it only filters.
         kernels = [spec._kernel for spec in avoid if spec._kernel and not any(spec.anchors)]
-        stream = _children_left_open(n, kernels) if kernels and n >= 2 else generate_shallow(n)
+        stream = _leaves(n, kernels=kernels) if kernels and n >= 2 else generate_shallow(n)
     if avoid:
         stream = filter(partial(avoids, specs=avoid), stream)
     return stream
-
-
-def _children_left_open(n: int, kernels: list[Callable]) -> Iterator[Perm]:
-    """
-    The shallow words of size n >= 1 in generator order, less the children
-    that their parent shows to contain a classical spec. Each kernel
-    searches every parent once; avoids then tests the children left open,
-    so the filtered stream equals the filtered generator's
-    (test_route_stream_equals_the_filtered_generator).
-
-    Lemma (test_children_keep_parent_occurrences_off_their_slot): the child
-    of t at slot i equals t except at i, which now holds the new maximum,
-    and at the new last position. So an occurrence of a classical pattern
-    in t that does not use position i is one in the child, and the
-    appended child, whose prefix is t, keeps every occurrence of t. When a
-    kernel finds in t an occurrence with values w, only the children whose
-    slot holds a value of w may avoid its spec. An anchored spec may pin a
-    letter to the maximum or the last position, which both move, so it
-    only filters.
-    """
-    for t, slots in _walk(n - 1):
-        keep = None  # the values a slot may hold, when an occurrence was found
-        for kernel in kernels:
-            w = kernel(t)
-            if w is not None:
-                keep = w if keep is None else [v for v in keep if v in w]
-        if keep is None:
-            yield from _children(t, slots)
-            continue
-        # No appended child: it keeps every occurrence of t. The others are
-        # built here, as _children does, without a generator per parent.
-        m = len(t) + 1
-        for i in slots:
-            v = t[i]
-            if v in keep:
-                child = [*t, v]
-                child[i] = m
-                yield tuple(child)
 
 
 def _counts_for(n: int, query: CountQuery, method: Method) -> dict[Optional[int], int]:
@@ -420,10 +391,8 @@ def count(query: CountQuery, caps: Caps = DEFAULT_CAPS) -> CountTable:
     and the constructive generator and raises MethodDisagreement if they
     ever differ.
     """
-    limit = caps.limit(query.method)
-    over = [n for n in query.sizes if n > limit]
-    if over:
-        raise SizeCapExceeded(f"sizes {over} beyond the {query.method.value} cap {limit}")
+    if query.sizes:
+        caps.check(query.method, "size", max(query.sizes))
     rows: list[CountRow] = []
     for n in query.sizes:
         start = time.perf_counter()
@@ -554,8 +523,7 @@ def profile(n: int, caps: Caps = DEFAULT_CAPS) -> ProfilePair:
     321-avoiders of the same size. The flag reports whether the two
     multisets coincide at this size; it is evidence, not a theorem.
     """
-    if n > caps.constructive:
-        raise SizeCapExceeded(f"n {n} beyond the constructive cap {caps.constructive}")
+    caps.check(Method.CONSTRUCTIVE, "n", n)
 
     def side(
         avoid: tuple[PatternSpec, ...], stat: Callable[[Perm], int], descriptor: str
@@ -583,8 +551,7 @@ def search_mesh_counterexample(
     is_shallow and avoids that the search used, so a fault in either cannot
     confirm itself.
     """
-    if n_max > caps.brute_force:
-        raise SizeCapExceeded(f"n_max {n_max} beyond the brute cap {caps.brute_force}")
+    caps.check(Method.BRUTE_FORCE, "n_max", n_max)
     both = (VALUE_ANCHORED_3412, POSITION_ANCHORED_3412)
     for n in range(1, n_max + 1):
         for p in all_perms(n):

@@ -301,6 +301,7 @@ def replay_certificate(cert: ShallowCertificate) -> Perm:
 
 
 Pick = Callable[[Perm, list[int]], Iterable[int]]  # see _walk
+Kernel = Callable[[Perm], Optional[tuple[int, ...]]]  # see _leaves
 
 
 def _children(t: Perm, slots: list[int]) -> Iterator[Perm]:
@@ -351,15 +352,43 @@ def _walk(n: int, pick: Optional[Pick] = None) -> Iterator[tuple[Perm, list[int]
             yield tuple(child), slots[:k] + [i] + [j for j in slots[k + 1:] if t[j] < v] + [m]
 
 
-def _leaves(n: int, pick: Optional[Pick] = None) -> Iterator[Perm]:
-    """The words of size n of _walk's tree, without their slots."""
+def _leaves(n: int, pick: Optional[Pick] = None, kernels: Iterable[Kernel] = ()) -> Iterator[Perm]:
+    """
+    The words of size n of _walk's tree, pruned by pick as there, built
+    from their parents without their slots. Each kernel searches every
+    parent once and returns the values of one occurrence of its classical
+    pattern, or None. A parent with an occurrence keeps only the children
+    whose slot holds a value of every occurrence found, and a caller still
+    tests those (test_route_stream_equals_the_filtered_generator).
+
+    Lemma (test_children_keep_parent_occurrences_off_their_slot): the child
+    of t at slot i equals t except at i, which now holds the new maximum,
+    and at the new last position. So an occurrence in t that does not use
+    position i is one in the child, and the appended child, whose prefix
+    is t, keeps every occurrence of t.
+    """
     if n < 0:
         raise ValueError("size must be nonnegative")
     if n == 0:
         yield ()
         return
     for t, slots in _walk(n - 1, pick):
-        yield from _children(t, slots if pick is None else [slots[k] for k in pick(t, slots)])
+        if pick is not None:
+            slots = [slots[k] for k in pick(t, slots)]
+        keep = None  # the values a slot may hold, once an occurrence is found
+        for kernel in kernels:
+            w = kernel(t)
+            if w is not None:
+                keep = w if keep is None else [v for v in keep if v in w]
+        m = len(t) + 1
+        if keep is None:
+            yield t + (m,)
+        for i in slots:
+            v = t[i]
+            if keep is None or v in keep:
+                child = [*t, v]
+                child[i] = m
+                yield tuple(child)
 
 
 def generate_shallow(n: int) -> Iterator[Perm]:

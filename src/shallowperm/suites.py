@@ -16,7 +16,7 @@ from typing import Callable, Iterable, Optional, Sequence
 
 from . import series
 from .enumeration import (
-    DEFAULT_CAPS, Caps, CountQuery, Method, SizeCapExceeded, VerificationPair,
+    DEFAULT_CAPS, Caps, CountQuery, Method, VerificationPair,
     VerificationReport, _words, all_perms, count, descent_table, oracle_values, profile,
     search_mesh_counterexample, verify,
 )
@@ -417,9 +417,8 @@ def run_suite(
     if max_n is not None and max_n < 0:
         raise ValueError(f"max_n must be nonnegative, got {max_n}")
     if max_n is not None:
-        limit, cap_name = min((caps.limit(m), m.value) for m in _SUITE_METHODS[name])
-        if max_n > limit:
-            raise SizeCapExceeded(f"max_n {max_n} beyond the {cap_name} cap {limit}")
+        tightest = min(_SUITE_METHODS[name], key=lambda m: (caps.limit(m), m.value))
+        caps.check(tightest, "max_n", max_n)
     pairs: list[VerificationPair] = []
     for check in SUITES[name]:
         pairs.extend(check(max_n, caps))

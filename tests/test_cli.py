@@ -96,9 +96,9 @@ class TestCount:
     def test_wide_range_rejected_from_its_ends(self, capsys):
         code, out, err = run(capsys, "count", "--n", "1..1000000000")
         assert (code, out) == (1, "")
-        assert err == "error: sizes 13..1000000000 beyond the constructive cap 12\n"
+        assert err == "error: size 1000000000 beyond the constructive cap 12\n"
         code, out, err = run(capsys, "count", "--n", "5..1000000000", "--method", "brute")
-        assert err == "error: sizes 11..1000000000 beyond the brute cap 10\n"
+        assert err == "error: size 1000000000 beyond the brute cap 10\n"
         code, out, err = run(capsys, "count", "--n=-5..1000000000")
         assert (code, out) == (2, "")
         assert err == "error: sizes must be nonnegative\n"

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from shallowperm import shallow
+from shallowperm import enumeration, shallow
+from shallowperm.enumeration import Method
 from shallowperm.patterns import avoids, classical, find_occurrence
 from shallowperm.perms import (
     SymmetryClass,
@@ -505,16 +506,27 @@ class TestGenerator:
         assert peak < 64 * 1024
 
     def test_first_emission_expands_at_most_n_words(self, monkeypatch):
-        children = shallow._children
-        expanded = []
+        # The walk recurses through the module's name, so each size's words
+        # are counted. The whole tree, the kernel route and the 321 tree
+        # each reach their first leaf through one word of each smaller size.
+        walk = shallow._walk
+        walked = []
 
-        def counting(t, slots):
-            expanded.append(t)
-            return children(t, slots)
+        def counting(n, pick=None):
+            for t, slots in walk(n, pick):
+                walked.append(t)
+                yield t, slots
 
-        monkeypatch.setattr(shallow, "_children", counting)
-        assert next(generate_shallow(12)) == identity(12)
-        assert len(expanded) <= 12
+        monkeypatch.setattr(shallow, "_walk", counting)
+        # Each stream is lazy, so none walks before its first next.
+        for stream in (
+            generate_shallow(12),
+            enumeration._words(12, (classical((1, 3, 2)),), None, Method.CONSTRUCTIVE),
+            generate_321_avoiding(12),
+        ):
+            walked.clear()
+            assert next(iter(stream)) == identity(12)
+            assert 0 < len(walked) <= 12
 
 
 class TestClassWalks:

@@ -82,14 +82,15 @@ def test_every_check_declares_a_capped_walk():
 
 
 def test_table1_reads_the_count_routes(monkeypatch):
-    # A route that drops one child of each parent shows in each column that
-    # count --avoid reads through it, against both the catalog and brute
-    # force; the 321 column reads the 321 tree, so it still matches.
+    # A kernel route that drops one survivor of each parent shows in each
+    # column that count --avoid reads through it, against both the catalog
+    # and brute force; the 321 column reads the 321 tree, so it still matches.
     def dropping(n, kernels):
-        for t, slots in shallow._walk(n - 1):
-            yield from itertools.islice(shallow._children(t, slots), 1, None)
+        survivors = shallow._leaves(n, kernels=kernels)
+        for _, children in itertools.groupby(survivors, key=shallow.r_operator):
+            yield from itertools.islice(children, 1, None)
 
-    monkeypatch.setattr(enumeration, "_children_left_open", dropping)
+    monkeypatch.setattr(enumeration, "_leaves", dropping)
     pairs = run_suite("table1", max_n=6).pairs
     for name in ("132", "213", "231", "312", "123"):
         for against in ("vs ", "brute vs "):
