@@ -304,21 +304,6 @@ Pick = Callable[[Perm, list[int]], Iterable[int]]  # see _walk
 Kernel = Callable[[Perm], Optional[tuple[int, ...]]]  # see _leaves
 
 
-def _children(t: Perm, slots: list[int]) -> Iterator[Perm]:
-    """
-    All words one size larger that reduce to t, each exactly once: the
-    appended child, then the child of each 0-based slot in slots, which
-    must be the slots of t holding a left-to-right maximum or a
-    right-to-left minimum, in increasing order.
-    """
-    m = len(t) + 1
-    yield t + (m,)
-    for i in slots:
-        child = [*t, t[i]]
-        child[i] = m
-        yield tuple(child)
-
-
 def _walk(n: int, pick: Optional[Pick] = None) -> Iterator[tuple[Perm, list[int]]]:
     """
     Yield every shallow word of size n with its slots, in generator order.
@@ -453,9 +438,19 @@ def _fixed_points(t: Perm, slots: list[int]) -> list[int]:
     return [k for k, i in enumerate(slots) if t[i] == i + 1]
 
 
-def _slots(t: Perm) -> list[int]:
-    """The 0-based slots of t, read from its extreme-entry flags."""
-    return [i for i, (lr, rl) in enumerate(zip(lr_max_flags(t), rl_min_flags(t))) if lr or rl]
+def _extensions(t: Perm) -> Iterator[Perm]:
+    """
+    All words one size larger that reduce to t, each exactly once: the
+    appended child, then the child of each slot of t, a position holding a
+    left-to-right maximum or a right-to-left minimum, in increasing order.
+    """
+    m = len(t) + 1
+    yield t + (m,)
+    for i, (lr, rl) in enumerate(zip(lr_max_flags(t), rl_min_flags(t))):
+        if lr or rl:
+            child = [*t, t[i]]
+            child[i] = m
+            yield tuple(child)
 
 
 def _two_step_walk(n: int, cls: SymmetryClass) -> Iterator[Perm]:
@@ -477,9 +472,9 @@ def _two_step_walk(n: int, cls: SymmetryClass) -> Iterator[Perm]:
         return
     for w in _two_step_walk(n - 2, cls):
         t = reverse_complement(w)
-        for c in _children(t, _slots(t)):
+        for c in _extensions(t):
             x = reverse_complement(c)
-            for u in _children(x, _slots(x)):
+            for u in _extensions(x):
                 if is_in_class(u, cls):
                     yield u
 

@@ -1,12 +1,13 @@
 """Named verification suites bundling the library's cross-checks.
 
-Each check is a declaration: its walks, its default top size, and either a
-feature function with rows of a label and an expected value per size (a
-catalog series, a closed form, or zero violations), or the function that
-computes its rows. A walk is a count query, whose words are those count
-reads, or a stream, and its method's cap bounds it. A direct call clamps
-max_n to its walks' caps; run_suite rejects a max_n beyond any cap of the
-suite's walks. CI runs the ``all`` suite at its default sizes.
+Each check declares one method, whose cap bounds its top size. A check of
+one row is built by _per_size from its words at each size (all of S_n, a
+constructive count query read through enumeration._words, or the
+decreasing word), a feature summed over them, and the expected value at
+each size: a catalog series, a closed form, or zero violations. Any other
+check computes its rows. A direct call clamps max_n to the check's cap;
+run_suite rejects a max_n beyond the cap of any check of the suite. CI
+runs the ``all`` suite at its default sizes.
 """
 from __future__ import annotations
 
@@ -16,8 +17,8 @@ from typing import Callable, Iterable, Optional, Sequence
 
 from . import series
 from .enumeration import (
-    DEFAULT_CAPS, Caps, CountQuery, Method, VerificationPair,
-    VerificationReport, _words, all_perms, count, descent_table, oracle_values, profile,
+    DEFAULT_CAPS, Caps, CountQuery, Method, VerificationPair, VerificationReport, _words,
+    all_perms, brute_shallow_words, count, descent_table, oracle_values, profile,
     search_mesh_counterexample, verify,
 )
 from .patterns import POSITION_ANCHORED_3412, VALUE_ANCHORED_3412, PatternSpec, avoids, classical
@@ -65,30 +66,17 @@ _AVOID_ANCHORED_3412 = (VALUE_ANCHORED_3412, POSITION_ANCHORED_3412)
 Row = tuple[str, Callable[[int], int]]  # a label stem and the expected value at n
 
 
-@dataclasses.dataclass(frozen=True)
-class Walk:
-    """A check's words at each size, bounded by its method's cap: stream(n),
-    or else the words count reads for the query (avoided specs, symmetry
-    class, method) from enumeration._words, so a patched route is the one used."""
-
-    avoid: tuple[PatternSpec, ...] = ()
-    symmetry: Optional[SymmetryClass] = None
-    method: Method = Method.CONSTRUCTIVE
-    stream: Optional[Callable[[int], Iterable[Perm]]] = None
-
-    def words(self, n: int) -> Iterable[Perm]:
-        return self.stream(n) if self.stream else _words(n, self.avoid, self.symmetry, self.method)
+def _query(
+    avoid: tuple[PatternSpec, ...] = (), symmetry: Optional[SymmetryClass] = None
+) -> Callable[[int], Iterable[Perm]]:
+    """The words count reads at each size for a constructive query, taken
+    from enumeration._words at call time, so a patched route is the one used."""
+    return lambda n: _words(n, avoid, symmetry, Method.CONSTRUCTIVE)
 
 
-SHALLOW = Walk()
-BRUTE = Walk(method=Method.BRUTE_FORCE)  # brute_shallow_words
-S_N = Walk(method=Method.BRUTE_FORCE, stream=all_perms)
-DECREASING = Walk(stream=lambda n: (decreasing(n),))
-
-
-def _top(walk: Walk, default: int, max_n: Optional[int], caps: Caps) -> int:
-    """A check's top size: max_n, else its default, within the walk's cap."""
-    return min(default if max_n is None else max_n, caps.limit(walk.method))
+def _top(method: Method, default: int, max_n: Optional[int], caps: Caps) -> int:
+    """A check's top size: max_n, else its default, within the method's cap."""
+    return min(default if max_n is None else max_n, caps.limit(method))
 
 
 def _zero(n: int) -> int:
@@ -100,11 +88,12 @@ def _zero(n: int) -> int:
 
 
 def _tally(
-    walk: Walk, sizes: Iterable[int], width: int, features: Callable[[Perm], tuple]
+    words: Callable[[int], Iterable[Perm]], sizes: Iterable[int], width: int,
+    features: Callable[[Perm], tuple],
 ) -> list[dict[int, int]]:
-    """One pass of the walk per size; column i < width sums entry i of
+    """One pass of words(n) per size; column i < width sums entry i of
     features(p) over the words of each size."""
-    tally = {n: Counter(map(features, walk.words(n))) for n in sizes}
+    tally = {n: Counter(map(features, words(n))) for n in sizes}
     return [{n: sum(f[i] * m for f, m in counts.items()) for n, counts in tally.items()}
             for i in range(width)]
 
@@ -127,48 +116,51 @@ def _rows(
 
 @dataclasses.dataclass(frozen=True)
 class Check:
-    """A suite check, called as check(max_n, caps) for its rows.
+    """A suite check, called as check(max_n, caps) for its rows; method is
+    the one whose cap bounds its top size (see _top) and run_suite's max_n."""
 
-    A tally check walks each size from first to its top size (see _top) and
-    counts features(p), one entry per row of rows(top); with summed, each
-    row is one total over the sizes. Any other check computes its rows.
-    """
-
-    walks: tuple[Walk, ...]
-    top: Optional[int] = None
-    first: int = 0
-    features: Optional[Callable[[Perm], tuple]] = None
-    rows: Optional[Callable[[int], Sequence[Row]]] = None
-    summed: bool = False
-    compute: Optional[Callable[[Optional[int], Caps], list[VerificationPair]]] = None
+    method: Method
+    compute: Callable[[Optional[int], Caps], list[VerificationPair]]
 
     def __call__(self, max_n: Optional[int], caps: Caps) -> list[VerificationPair]:
-        if self.compute is not None:
-            return self.compute(max_n, caps)
-        (walk,) = self.walks
-        top = _top(walk, self.top, max_n, caps)
-        rows = self.rows(top)
-        columns = _tally(walk, range(self.first, top + 1), len(rows), self.features)
-        return _rows(columns, rows, top if self.summed else None)
+        return self.compute(max_n, caps)
 
 
-def _declare(*walks: Walk) -> Callable[[Callable], Check]:
-    """Declare the walks of a check whose rows are not a tally."""
-    return lambda compute: Check(walks, compute=compute)
+def _bounded(method: Method) -> Callable[[Callable], Check]:
+    """Declare a check that computes its rows, bounded by the method's cap."""
+    return lambda compute: Check(method, compute)
+
+
+def _per_size(
+    method: Method, words: Callable[[int], Iterable[Perm]], default: int, stem: str,
+    feature: Callable[[Perm], int], first: int = 0, expected: Callable[[int], int] = _zero,
+    summed: bool = False,
+) -> Check:
+    """A check of one row: feature(p) summed over words(n) at each size n
+    from first to its top size, or with summed one total over the sizes."""
+
+    def compute(max_n: Optional[int], caps: Caps) -> list[VerificationPair]:
+        top = _top(method, default, max_n, caps)
+        column = {n: sum(map(feature, words(n))) for n in range(first, top + 1)}
+        return _rows([column], [(stem, expected)], top if summed else None)
+
+    return Check(method, compute)
 
 
 # --------------------------------------------------------------------- table1
 
 
-@_declare(*(Walk(_AVOID[name]) for name, _ in _TOTAL_ORACLES), BRUTE)
+@_bounded(Method.BRUTE_FORCE)
 def check_table1(max_n: Optional[int], caps: Caps) -> list[VerificationPair]:
-    """Each pattern's column as count --avoid reads it, then one brute walk
-    that tests each shallow word of S_n for all six patterns."""
-    n_top = _top(SHALLOW, 10, max_n, caps)
+    """Each pattern's column as count --avoid reads it, then one brute walk,
+    to no size beyond the columns, that tests each shallow word of S_n for
+    all six patterns."""
+    n_top = _top(Method.CONSTRUCTIVE, 10, max_n, caps)
     sizes = tuple(range(1, n_top + 1))
     built = [{row.n: row.count for row in count(CountQuery(sizes, _AVOID[name]), caps).rows}
              for name, _ in _TOTAL_ORACLES]
-    brute = _tally(BRUTE, range(1, _top(BRUTE, 9, max_n, caps) + 1), len(built),
+    b_top = min(_top(Method.BRUTE_FORCE, 9, max_n, caps), n_top)
+    brute = _tally(brute_shallow_words, range(1, b_top + 1), len(built),
                    lambda p: tuple([avoids(p, _AVOID[name]) for name, _ in _TOTAL_ORACLES]))
     return _rows(
         built,
@@ -184,12 +176,12 @@ def check_table1(max_n: Optional[int], caps: Caps) -> list[VerificationPair]:
 # ------------------------------------------------------------------- descents
 
 
-@_declare(SHALLOW)
+@_bounded(Method.CONSTRUCTIVE)
 def check_descents(max_n: Optional[int], caps: Caps) -> list[VerificationPair]:
     """The descent refinements to size 9, then the Grassmannian counts to size
     10 read from the same 321 table: a word with at most one descent avoids 321."""
-    n_top = _top(SHALLOW, 9, max_n, caps)
-    g_top = _top(SHALLOW, 10, max_n, caps)
+    n_top = _top(Method.CONSTRUCTIVE, 9, max_n, caps)
+    g_top = _top(Method.CONSTRUCTIVE, 10, max_n, caps)
     tables = {
         name: descent_table(g_top if name == "321" else n_top, PATTERNS[name], caps)
         for name in ("132", "321", "231")
@@ -217,15 +209,15 @@ def check_descents(max_n: Optional[int], caps: Caps) -> list[VerificationPair]:
 # ------------------------------------------------------------------- symmetry
 
 
-@_declare(*(Walk(symmetry=cls) for cls in SymmetryClass))
+@_bounded(Method.CONSTRUCTIVE)
 def check_symmetry(max_n: Optional[int], caps: Caps) -> list[VerificationPair]:
     """Each class's query walks its tree once per size; a word tallies
     whether it avoids the pattern of each row of its class."""
-    top = _top(SHALLOW, 10, max_n, caps)
+    top = _top(Method.CONSTRUCTIVE, 10, max_n, caps)
     columns = {}
     for cls in SymmetryClass:
         names = [name for name, c, _ in _SYMMETRY_ORACLES if c is cls]
-        tallied = _tally(Walk(symmetry=cls), range(1, top + 1), len(names),
+        tallied = _tally(_query(symmetry=cls), range(1, top + 1), len(names),
                          lambda p: tuple([avoids(p, _AVOID[name]) for name in names]))
         columns.update(((name, cls), column) for name, column in zip(names, tallied))
     return _rows([columns[name, cls] for name, cls, _ in _SYMMETRY_ORACLES],
@@ -236,18 +228,18 @@ def check_symmetry(max_n: Optional[int], caps: Caps) -> list[VerificationPair]:
 # -------------------------------------------------------------------- closure
 
 
-check_decider_equivalence = Check(
-    (S_N,), 8, features=lambda p: (is_shallow(p) != certify_shallow(p).verdict,),
-    rows=lambda top: [("decider equivalence violations ", _zero)])
+check_decider_equivalence = _per_size(
+    Method.BRUTE_FORCE, all_perms, 8, "decider equivalence violations ",
+    lambda p: is_shallow(p) != certify_shallow(p).verdict)
 
-check_symmetry_closure = Check(
-    (SHALLOW,), 7, rows=lambda top: [("symmetry closure violations ", _zero)],
-    features=lambda p: (sum(not is_shallow(apply_symmetry(p, kind)) for kind in SymmetryKind),))
+check_symmetry_closure = _per_size(
+    Method.CONSTRUCTIVE, _query(), 7, "symmetry closure violations ",
+    lambda p: sum(not is_shallow(apply_symmetry(p, kind)) for kind in SymmetryKind))
 
 
-@_declare(SHALLOW)
+@_bounded(Method.CONSTRUCTIVE)
 def check_direct_sum_closure(max_n: Optional[int], caps: Caps) -> list[VerificationPair]:
-    total = _top(SHALLOW, 8, max_n, caps)
+    total = _top(Method.CONSTRUCTIVE, 8, max_n, caps)
     small = [list(generate_shallow(n)) for n in range(total // 2 + 1)]
     bad = 0
     for m in range(total + 1):
@@ -262,18 +254,18 @@ def check_direct_sum_closure(max_n: Optional[int], caps: Caps) -> list[Verificat
     return [VerificationPair(f"direct-sum closure violations [|p|+|q|<={total}]", None, bad, 0)]
 
 
-check_wrap_equivalence = Check(
-    (S_N,), 7, features=lambda p: (is_shallow(wrap_n1(p)) != is_shallow(p),),
-    rows=lambda top: [("wrap equivalence violations ", _zero)])
+check_wrap_equivalence = _per_size(
+    Method.BRUTE_FORCE, all_perms, 7, "wrap equivalence violations ",
+    lambda p: is_shallow(wrap_n1(p)) != is_shallow(p))
 
-check_decreasing = Check(
-    (DECREASING,), 12, features=lambda p: (not is_shallow(p),), summed=True,
-    rows=lambda top: [("decreasing permutation not shallow ", _zero)])
+check_decreasing = _per_size(
+    Method.CONSTRUCTIVE, lambda n: (decreasing(n),), 12, "decreasing permutation not shallow ",
+    lambda p: not is_shallow(p), summed=True)
 
 
-@_declare(DECREASING)
+@_bounded(Method.CONSTRUCTIVE)
 def check_skew_families(max_n: Optional[int], caps: Caps) -> list[VerificationPair]:
-    top = _top(DECREASING, 5, max_n, caps)
+    top = _top(Method.CONSTRUCTIVE, 5, max_n, caps)
     rng = range(top + 1)
     d = decreasing
     family = (
@@ -294,15 +286,13 @@ def _boolean_disagreement(p: Perm) -> bool:
     return not (a == b == c)
 
 
-check_boolean_coincidence = Check(
-    (S_N,), 8, features=lambda p: (_boolean_disagreement(p),),
-    rows=lambda top: [("boolean coincidence violations ", _zero)])
+check_boolean_coincidence = _per_size(
+    Method.BRUTE_FORCE, all_perms, 8, "boolean coincidence violations ", _boolean_disagreement)
 
-check_descent_inverse = Check(
-    (S_N,), 7, rows=lambda top: [("132 descent/inverse violations ", _zero)], summed=True,
-    features=lambda p: (
-        avoids(p, _AVOID["132"]) and descent_count(p) != descent_count(inverse(p)),
-    ))
+check_descent_inverse = _per_size(
+    Method.BRUTE_FORCE, all_perms, 7, "132 descent/inverse violations ",
+    lambda p: avoids(p, _AVOID["132"]) and descent_count(p) != descent_count(inverse(p)),
+    summed=True)
 
 
 def _321_tail_broken(p: Perm) -> bool:
@@ -315,33 +305,32 @@ def _321_tail_broken(p: Perm) -> bool:
     )
 
 
-check_321_tail_structure = Check(
-    (Walk(_AVOID["321"]),), 9, first=2, features=lambda p: (_321_tail_broken(p),), summed=True,
-    rows=lambda top: [("321 tail structure violations ", _zero)])
+check_321_tail_structure = _per_size(
+    Method.CONSTRUCTIVE, _query(_AVOID["321"]), 9, "321 tail structure violations ",
+    _321_tail_broken, first=2, summed=True)
 
-check_123_interior_count = Check(
-    (Walk(_AVOID["123"]),), 10, first=3, features=lambda p: (p[0] != len(p) and p[-1] != 1,),
-    rows=lambda top: [("123 avoiders with interior extremes ",
-                       lambda n: 2 * series.binomial(n - 1, 3) + n - 1)])
+check_123_interior_count = _per_size(
+    Method.CONSTRUCTIVE, _query(_AVOID["123"]), 10, "123 avoiders with interior extremes ",
+    lambda p: p[0] != len(p) and p[-1] != 1,
+    first=3, expected=lambda n: 2 * series.binomial(n - 1, 3) + n - 1)
 
-check_leading_pair_231 = Check(
-    (SHALLOW,), 10, first=5,
-    features=lambda p: (p[0] == len(p) and p[1] == len(p) - 1 and avoids(p, _AVOID["231"]),),
-    rows=lambda top: [("231 avoiders led by top pair ",
-                       lambda n: series.closed_form("231_leading_pair", n))])
+check_leading_pair_231 = _per_size(
+    Method.CONSTRUCTIVE, _query(), 10, "231 avoiders led by top pair ",
+    lambda p: p[0] == len(p) and p[1] == len(p) - 1 and avoids(p, _AVOID["231"]),
+    first=5, expected=lambda n: series.closed_form("231_leading_pair", n))
 
 
 # ----------------------------------------------------------------------- mesh
 
 
-check_mesh_necessary = Check(
-    (SHALLOW,), 8, features=lambda p: (not avoids(p, _AVOID_ANCHORED_3412),),
-    rows=lambda top: [("shallow anchored-3412 violations ", _zero)])
+check_mesh_necessary = _per_size(
+    Method.CONSTRUCTIVE, _query(), 8, "shallow anchored-3412 violations ",
+    lambda p: not avoids(p, _AVOID_ANCHORED_3412))
 
 
-@_declare(S_N)
+@_bounded(Method.BRUTE_FORCE)
 def check_mesh_counterexample(max_n: Optional[int], caps: Caps) -> list[VerificationPair]:
-    n_top = _top(S_N, caps.brute_force, max_n, caps)
+    n_top = _top(Method.BRUTE_FORCE, caps.brute_force, max_n, caps)
     witness = search_mesh_counterexample(n_top, caps)
     if witness is None:
         label = f"mesh counterexample search (n <= {n_top}): none found"
@@ -356,9 +345,9 @@ def check_mesh_counterexample(max_n: Optional[int], caps: Caps) -> list[Verifica
 # ---------------------------------------------------------------- exploratory
 
 
-@_declare(SHALLOW)
+@_bounded(Method.CONSTRUCTIVE)
 def check_profiles(max_n: Optional[int], caps: Caps) -> list[VerificationPair]:
-    n_top = _top(SHALLOW, 8, max_n, caps)
+    n_top = _top(Method.CONSTRUCTIVE, 8, max_n, caps)
     pairs: list[VerificationPair] = []
     for n in range(1, n_top + 1):
         pair = profile(n, caps)
@@ -402,16 +391,14 @@ SUITES["all"] = (
 
 # Each suite's methods, read once: tracing swaps the checks in SUITES for
 # wrappers but leaves the methods alone.
-_SUITE_METHODS = {
-    name: {w.method for check in checks for w in check.walks} for name, checks in SUITES.items()
-}
+_SUITE_METHODS = {name: {check.method for check in checks} for name, checks in SUITES.items()}
 
 
 def run_suite(
     name: str, max_n: Optional[int] = None, caps: Caps = DEFAULT_CAPS
 ) -> VerificationReport:
     """Run a named suite and aggregate its rows into one report; a max_n
-    beyond the cap of any walk in the suite raises SizeCapExceeded first."""
+    beyond the cap of any check's method in the suite raises SizeCapExceeded first."""
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
     if max_n is not None and max_n < 0:

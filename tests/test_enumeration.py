@@ -36,7 +36,7 @@ from shallowperm.perms import (
     lr_max_flags,
     statistics,
 )
-from shallowperm.shallow import _children, _walk, extend_right, generate_shallow, is_shallow
+from shallowperm.shallow import _extensions, _walk, extend_right, generate_shallow, is_shallow
 
 P132 = classical((1, 3, 2))
 P231 = classical((2, 3, 1))
@@ -422,7 +422,7 @@ class TestChildrenLeftOpen:
                     if values is None:
                         continue
                     # The appended child comes first, with no slot.
-                    for i, child in zip([None, *slots], _children(t, slots)):
+                    for i, child in zip([None, *slots], _extensions(t)):
                         if i is None or t[i] not in values:
                             assert find_occurrence(child, spec) is not None, (t, i, spec)
 

@@ -43,6 +43,9 @@ def test_small_closure_suite_passes():
 def test_max_n_clamps_table1():
     pairs = check_table1(4, Caps())
     assert max(p.n for p in pairs) == 4
+    # Under a brute cap above the constructive one, the brute rows stop at
+    # the columns' top rather than compare against a missing column entry.
+    assert all(p.match for p in check_table1(None, Caps(brute_force=5, constructive=4)))
 
 
 def test_mesh_suite_small():
@@ -53,7 +56,7 @@ def test_mesh_suite_small():
 
 SMALL_CAPS = Caps(brute_force=4, constructive=5)
 # The largest max_n each suite accepts under SMALL_CAPS: the least cap of the
-# walks its checks declare. Every suite that walks S_n is bounded by brute force.
+# methods its checks declare. Every suite that walks S_n is bounded by brute force.
 SMALL_LIMITS = {"table1": 4, "descents": 5, "symmetry": 5, "closure": 4, "mesh": 4, "all": 4}
 
 
@@ -68,17 +71,37 @@ def test_suite_runs_at_its_cap_and_rejects_beyond(name):
     assert time.perf_counter() - start < 1.0
 
 
-def test_every_check_declares_a_capped_walk():
-    # run_suite rejects an over-cap max_n only through these declarations.
-    # A walk's method is one that both bounds it and routes its words.
+def test_every_check_declares_a_capped_walk(monkeypatch):
+    # run_suite rejects an over-cap max_n only through check.method, so it
+    # must be the tightest of the methods whose caps the check reads, and a
+    # check that walks S_n must stay within the brute cap.
+    methods, walked = set(), []
+    top, permutations, brute = suites._top, itertools.permutations, suites.brute_shallow_words
+
+    def recording_top(method, *args):
+        methods.add(method)
+        return top(method, *args)
+
+    def recording_permutations(values, *args):
+        values = tuple(values)
+        walked.append(len(values))
+        return permutations(values, *args)
+
+    def recording_brute(n):
+        walked.append(n)
+        return brute(n)
+
+    monkeypatch.setattr(suites, "_top", recording_top)
+    monkeypatch.setattr(itertools, "permutations", recording_permutations)
+    monkeypatch.setattr(suites, "brute_shallow_words", recording_brute)
     for check in SUITES["all"]:
-        assert check.walks
-        for walk in check.walks:
-            assert isinstance(walk, suites.Walk)
-            assert walk.method in (Method.BRUTE_FORCE, Method.CONSTRUCTIVE)
+        methods.clear()
+        walked.clear()
+        check(None, SMALL_CAPS)
+        assert check.method is min(methods, key=SMALL_CAPS.limit), check
+        assert max(walked, default=0) <= SMALL_CAPS.brute_force, check
     for name, checks in SUITES.items():
-        declared = {walk.method for check in checks for walk in check.walks}
-        assert suites._SUITE_METHODS[name] == declared
+        assert suites._SUITE_METHODS[name] == {check.method for check in checks}
 
 
 def test_table1_reads_the_count_routes(monkeypatch):
