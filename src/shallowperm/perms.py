@@ -57,7 +57,8 @@ def parse_permutation(text: str) -> Perm:
     Accepts a comma or whitespace separated list of integers, or a
     contiguous digit string when all values are single digits. Digit
     strings of length 10 or more are rejected as ambiguous (a value of
-    10 could not be written); use separators there.
+    10 could not be written); use separators there. Text that is not all
+    ASCII is rejected, though int() would read other scripts' digits.
 
     >>> parse_permutation("4,2,1,6,3,5")
     (4, 2, 1, 6, 3, 5)
@@ -69,6 +70,8 @@ def parse_permutation(text: str) -> Perm:
     stripped = text.strip()
     if not stripped:
         return ()
+    if not stripped.isascii():
+        raise ParseError(f"cannot parse {text!r}")
     if _SEPARATORS.search(stripped):
         tokens = [t for t in _SEPARATORS.split(stripped) if t]
         values = []
@@ -89,7 +92,7 @@ def parse_permutation(text: str) -> Perm:
 
 def format_permutation(p: Perm) -> str:
     """Canonical text form: comma-separated values, no whitespace."""
-    return ",".join(str(v) for v in p)
+    return ",".join(map(str, p))
 
 
 def identity(n: int) -> Perm:

@@ -322,6 +322,31 @@ class TestProfile:
         assert parsed[1:] == expected
 
 
+class TestSuccessiveCalls:
+    """A call's answer does not depend on the call made before it in the process."""
+
+    @staticmethod
+    def answer(capsys, argv):
+        code, out, err = run(capsys, *argv)
+        doc = json.loads(out) if out else None
+        if doc:
+            doc.pop("elapsed_ms")
+            for row in doc["payload"].get("rows", []):
+                row.pop("elapsed_ms", None)
+        return code, doc, err
+
+    @pytest.mark.parametrize("first, second", [
+        (["count", "--n", "1..6", "--avoid", "132"], ["count", "--n", "1..6"]),
+        (["count", "--n", "x"], ["count", "--n", "3", "--avoid", "231"]),
+        (["certify", "3,4,1,2"], ["certify", "4,2,1,6,3,5"]),
+    ])
+    def test_second_call_answers_as_if_alone(self, capsys, first, second):
+        alone = self.answer(capsys, second)
+        self.answer(capsys, first)
+        assert self.answer(capsys, second) == alone
+        assert alone[0] == 0 and alone[2] == ""
+
+
 class TestClosedPipe:
     # The 400-entry certificate fails inside the write itself; the short
     # csv fits in the stream's buffer and fails at the flush.

@@ -3,7 +3,8 @@
 ``cli._dumps`` replaces the indented ``json.dumps`` call behind every JSON
 envelope, so it is checked on every document the CLI writes in the pinned
 transcripts, on large certificates and catalog expansions, on the full
-verification suite, and on arbitrary JSON values.
+verification suite, on record lists that do and do not share one key
+layout, and on arbitrary JSON values.
 """
 import contextlib
 import enum
@@ -96,9 +97,87 @@ def test_verify_all_document(written):
     assert_identical(written(["verify", "--suite", "all", "--max-n", "6"]), 1)
 
 
+def test_payload_records_take_the_record_path(written, monkeypatch):
+    records = cli._records
+    served = []
+
+    def spy(values, pad):
+        texts = records(values, pad)
+        if texts is not None:
+            served.append(values)
+        return texts
+
+    monkeypatch.setattr(cli, "_records", spy)
+    calls = written(
+        ["certify", "4,2,1,6,3,5"],
+        ["count", "--n", "1..4", "--by", "descents"],
+        ["verify", "--suite", "closure", "--max-n", "3"],
+        ["profile", "--n", "3"],
+    )
+    assert_identical(calls, 4)
+    payloads = [value["payload"] for value, pad, _ in calls if pad == "\n"]
+    lists = [
+        payloads[0]["steps"],
+        payloads[1]["rows"],
+        payloads[2]["checks"],
+        payloads[3]["left"]["entries"],
+        payloads[3]["right"]["entries"],
+    ]
+    assert all(any(values is listed for values in served) for listed in lists)
+
+
 class Level(enum.IntEnum):
     LOW = -1
     HIGH = 2**70
+
+
+class Text(str):
+    pass
+
+
+class Wildcard(str):
+    """A key that compares equal to every key, though it is written as itself."""
+
+    def __eq__(self, other):
+        return True
+
+    __hash__ = str.__hash__
+
+
+# Lists of plain dicts with the same str keys in the same order take the
+# writer's record path, and the near misses fall back to the generic one.
+RECORD_LISTS = {
+    "same keys": [{"n": 1, "k": None, "count": "2"}, {"n": 2, "k": 0, "count": "10"}],
+    "one record": [{"a": "\u00e9\n\"", "b": -(2**70)}],
+    "tuple of records": ({"a": 1}, {"a": 2}),
+    "keys in another order": [{"a": 1, "b": 2}, {"b": 2, "a": 1}],
+    "missing key": [{"a": 1, "b": 2}, {"a": 1}],
+    "extra key": [{"a": 1}, {"a": 1, "b": 2}],
+    "nested values": [
+        {"a": [1, [2, {}], []], "b": {"c": {"d": [None]}, "e": [{"f": 1}, {"f": 2}]}},
+        {"a": [], "b": {}},
+    ],
+    "True beside 1": [{"a": True, "b": 1}, {"a": 1, "b": False}],
+    "IntEnum, float and str subclass": [
+        {"a": Level.HIGH, "b": 1.5, "c": Text("x")},
+        {"a": Level.LOW, "b": float("nan"), "c": "y"},
+    ],
+    "str subclass key": [{"a": 1}, {Text("a"): 2}],
+    "key equal to any key": [{"a": 1}, {Wildcard("b"): 2}],
+    "non-str key": [{"a": 1}, {1: 2}],
+    "dict subclass": [{"a": 1}, OrderedDict(a=2)],
+    "a record beside a scalar": [{"a": 1}, 1],
+    "empty dicts": [{}, {}],
+    "empty dict first": [{}, {"a": 1}],
+    "empty dict last": [{"a": 1}, {}],
+}
+
+
+@pytest.mark.parametrize("depth", [0, 2])
+@pytest.mark.parametrize("value", list(RECORD_LISTS.values()), ids=list(RECORD_LISTS))
+def test_record_lists(value, depth):
+    pad = "\n" + "  " * depth
+    assert cli._dumps(value, pad) == expected(value, pad)
 
 
 STRINGS = st.text(st.characters(exclude_categories=()))  # surrogates too
@@ -113,6 +192,7 @@ SCALARS = st.one_of(
     st.floats(),
     st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0]),
     st.sampled_from(Level),
+    st.text(max_size=3).map(Text),
 )
 KEYS = st.one_of(STRINGS, st.integers(), st.booleans(), st.none())
 VALUES = st.recursive(
@@ -123,6 +203,9 @@ VALUES = st.recursive(
         st.dictionaries(STRINGS, children, max_size=4),
         st.dictionaries(KEYS, children, max_size=4),
         st.dictionaries(STRINGS, children, max_size=4).map(OrderedDict),
+        st.lists(STRINGS, min_size=1, max_size=3, unique=True).flatmap(
+            lambda keys: st.lists(st.fixed_dictionaries(dict.fromkeys(keys, children)), max_size=4)
+        ),
     ),
     max_leaves=20,
 )

@@ -140,6 +140,12 @@ class TestParsing:
         with pytest.raises(ParseError):
             parse_permutation("1,x,2")
 
+    @pytest.mark.parametrize("text", ["\u00b2", "1\u00b2", "\u0661\u0662", "1,\u00b2", "\u0661,\u0662", "1\u00a02"])
+    def test_non_ascii_rejected(self, text):
+        # "²" passes str.isdigit but not int; int reads the Arabic-Indic digits.
+        with pytest.raises(ParseError, match="cannot parse"):
+            parse_permutation(text)
+
     def test_long_digit_string_rejected(self):
         with pytest.raises(ParseError):
             parse_permutation("1234567891")
