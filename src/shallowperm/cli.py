@@ -258,7 +258,7 @@ def _cmd_gf(args):
         raise ValueError(exc.args[0]) from None
     payload = {"name": args.name}
     if isinstance(expansion, series.RationalSeries):
-        coeffs = [str(series.coefficient(expansion, n)) for n in range(args.order + 1)]
+        coeffs = list(map(str, expansion.coefficients))
         payload.update(kind="univariate", size_variable=expansion.variable,
                        order=args.order, coefficients=coeffs)
         header, rows = ("n", "coefficient"), list(enumerate(coeffs))

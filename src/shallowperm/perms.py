@@ -58,7 +58,9 @@ def parse_permutation(text: str) -> Perm:
     contiguous digit string when all values are single digits. Digit
     strings of length 10 or more are rejected as ambiguous (a value of
     10 could not be written); use separators there. Text that is not all
-    ASCII is rejected, though int() would read other scripts' digits.
+    ASCII is rejected, though int() would read other scripts' digits, and
+    so is a token that is not all digits, though int() would read "+1"
+    or "1_0".
 
     >>> parse_permutation("4,2,1,6,3,5")
     (4, 2, 1, 6, 3, 5)
@@ -74,13 +76,10 @@ def parse_permutation(text: str) -> Perm:
         raise ParseError(f"cannot parse {text!r}")
     if _SEPARATORS.search(stripped):
         tokens = [t for t in _SEPARATORS.split(stripped) if t]
-        values = []
         for tok in tokens:
-            try:
-                values.append(int(tok))
-            except ValueError:
-                raise ParseError(f"bad token {tok!r}") from None
-        return validate_permutation(values)
+            if not tok.isdigit():
+                raise ParseError(f"bad token {tok!r}")
+        return validate_permutation(map(int, tokens))
     if not stripped.isdigit():
         raise ParseError(f"cannot parse {text!r}")
     if len(stripped) >= 10:

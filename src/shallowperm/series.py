@@ -8,9 +8,12 @@ per size, entry k counting the permutations with statistic value k.
 
 Every catalog entry is data: a numerator and a denominator polynomial.
 There is one long division, the Laurent-coefficient `_ls_div`, and it
-expands every entry. A univariate series is its degree-0 case:
-`expand_rational` lifts each coefficient to a constant Laurent
-polynomial, divides, and reads degree 0 back.
+expands every entry. A univariate series is its degree-0 case: its
+coefficients are lifted to constant Laurent polynomials, divided, and
+read back at degree 0. `CatalogEntry.build` takes one path for both
+kinds: it divides, then checks every coefficient once, rejecting
+negative or above-size statistic powers and any count that is not a
+nonnegative integer, and only then wraps the rows as a series.
 """
 from __future__ import annotations
 
@@ -50,8 +53,6 @@ class RationalSeries:
 
     coefficients: tuple[Fraction, ...]
     variable: str = "x"
-    counting: bool = False
-    name: Optional[str] = None
 
     @property
     def order(self) -> int:
@@ -65,7 +66,6 @@ class BivariateSeries:
     rows: tuple[tuple[int, ...], ...]
     size_variable: str
     statistic_variable: str
-    name: Optional[str] = None
 
     @property
     def order(self) -> int:
@@ -92,10 +92,6 @@ def expand_rational(
     numerator: Sequence[Union[int, Fraction]],
     denominator: Sequence[Union[int, Fraction]],
     order: int,
-    *,
-    variable: str = "x",
-    counting: bool = False,
-    name: Optional[str] = None,
 ) -> RationalSeries:
     """
     Long division of two polynomials as a power series up to the order.
@@ -106,37 +102,17 @@ def expand_rational(
     >>> [int(c) for c in expand_rational([1], [1, -1], 4).coefficients]
     [1, 1, 1, 1, 1]
     """
-    rows = _ls_div(
-        [{0: c} if c else {} for c in numerator],
-        [{0: c} if c else {} for c in denominator],
-        order,
-    )
-    return RationalSeries(
-        coefficients=tuple(Fraction(row.get(0, 0)) for row in rows),
-        variable=variable,
-        counting=counting,
-        name=name,
-    )
+    rows = _ls_div(_constant_rows(numerator), _constant_rows(denominator), order)
+    return RationalSeries(tuple(Fraction(row.get(0, 0)) for row in rows))
 
 
 def coefficient(series: RationalSeries, n: int) -> Fraction:
-    """
-    The exact coefficient of the n-th power.
-
-    For counting series the result must be a nonnegative integer; anything
-    else signals an implementation bug and raises NonIntegerCount.
-    """
+    """The exact coefficient of the n-th power."""
     if n < 0:
         raise ValueError("index must be nonnegative")
     if n > series.order:
         raise OrderExceeded(f"coefficient {n} beyond order {series.order}")
-    value = series.coefficients[n]
-    if series.counting and (value.denominator != 1 or value < 0):
-        raise NonIntegerCount(
-            f"{series.name or 'series'} coefficient {n} is {value}, "
-            "expected a nonnegative integer"
-        )
-    return value
+    return series.coefficients[n]
 
 
 def multiply_by_polynomial(
@@ -210,31 +186,9 @@ def _ls_div(num: _LSeries, den: _LSeries, order: int) -> list[Laurent]:
     return out
 
 
-def _rows_to_bivariate(
-    rows: _LSeries, *, size_variable: str, statistic_variable: str, name: str
-) -> BivariateSeries:
-    table = []
-    for n, row in enumerate(rows):
-        if any(e < 0 for e in row):
-            raise NegativeDegreeResidue(
-                f"{name}: negative {statistic_variable}-powers survive at "
-                f"{size_variable}^{n}: {sorted(row)}"
-            )
-        if any(e > n for e in row):
-            raise ValueError(f"{name}: statistic degree exceeds size at {n}")
-        dense = []
-        for k in range(n + 1):
-            c = row.get(k, 0)
-            if c.denominator != 1 or c < 0:
-                raise NonIntegerCount(f"{name}: entry ({n},{k}) is {c}")
-            dense.append(int(c))
-        table.append(tuple(dense))
-    return BivariateSeries(
-        rows=tuple(table),
-        size_variable=size_variable,
-        statistic_variable=statistic_variable,
-        name=name,
-    )
+def _constant_rows(poly: Sequence[Union[int, Fraction]]) -> list[Laurent]:
+    """A univariate polynomial as degree-0 Laurent rows."""
+    return [{0: c} if c else {} for c in poly]
 
 
 def _poly_mul(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
@@ -285,20 +239,35 @@ class CatalogEntry:
         return "univariate" if self.statistic_variable is None else "bivariate"
 
     def build(self, order: int) -> Union[RationalSeries, BivariateSeries]:
+        num, den = self.numerator, self.denominator
         if self.statistic_variable is None:
-            return expand_rational(
-                self.numerator,
-                self.denominator,
-                order,
-                variable=self.size_variable,
-                counting=True,
-                name=self.name,
-            )
-        return _rows_to_bivariate(
-            _ls_div(self.numerator, self.denominator, order),
-            size_variable=self.size_variable,
-            statistic_variable=self.statistic_variable,
-            name=self.name,
+            num, den = _constant_rows(num), _constant_rows(den)
+        return self._counts(_ls_div(num, den, order))
+
+    def _counts(self, rows: _LSeries) -> Union[RationalSeries, BivariateSeries]:
+        """
+        Check that the quotient rows are counts, then wrap them by kind.
+
+        Every statistic power must lie in 0..n at size power n, and every
+        coefficient must be a nonnegative integer.
+        """
+        x, t = self.size_variable, self.statistic_variable
+        for n, row in enumerate(rows):
+            if any(k < 0 for k in row):
+                raise NegativeDegreeResidue(
+                    f"{self.name}: negative {t}-powers survive at {x}^{n}: {sorted(row)}"
+                )
+            if any(k > n for k in row):
+                raise ValueError(f"{self.name}: statistic degree exceeds size at {n}")
+            for k, c in sorted(row.items()):
+                if c.denominator != 1 or c < 0:
+                    raise NonIntegerCount(f"{self.name}: entry ({n},{k}) is {c}")
+        if t is None:
+            return RationalSeries(tuple(Fraction(row.get(0, 0)) for row in rows), x)
+        return BivariateSeries(
+            tuple(tuple(int(row.get(k, 0)) for k in range(n + 1)) for n, row in enumerate(rows)),
+            x,
+            t,
         )
 
 

@@ -389,11 +389,6 @@ SUITES["all"] = (
     + (check_profiles,)
 )
 
-# Each suite's methods, read once: tracing swaps the checks in SUITES for
-# wrappers but leaves the methods alone.
-_SUITE_METHODS = {name: {check.method for check in checks} for name, checks in SUITES.items()}
-
-
 def run_suite(
     name: str, max_n: Optional[int] = None, caps: Caps = DEFAULT_CAPS
 ) -> VerificationReport:
@@ -404,7 +399,8 @@ def run_suite(
     if max_n is not None and max_n < 0:
         raise ValueError(f"max_n must be nonnegative, got {max_n}")
     if max_n is not None:
-        tightest = min(_SUITE_METHODS[name], key=lambda m: (caps.limit(m), m.value))
+        methods = {check.method for check in SUITES[name]}
+        tightest = min(methods, key=lambda m: (caps.limit(m), m.value))
         caps.check(tightest, "max_n", max_n)
     pairs: list[VerificationPair] = []
     for check in SUITES[name]:

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import example, given
@@ -137,8 +138,12 @@ class TestParsing:
             parse_permutation("0,1")
 
     def test_bad_token(self):
-        with pytest.raises(ParseError):
-            parse_permutation("1,x,2")
+        # int() would read "+1", "1_0" and "-1" as 1, 10 and -1.
+        for text, token in [
+            ("1,x,2", "x"), ("2,+1", "+1"), ("1_0,9,8,7,6,5,4,3,2,1", "1_0"), ("-1,2", "-1"),
+        ]:
+            with pytest.raises(ParseError, match=f"^bad token {re.escape(repr(token))}$"):
+                parse_permutation(text)
 
     @pytest.mark.parametrize("text", ["\u00b2", "1\u00b2", "\u0661\u0662", "1,\u00b2", "\u0661,\u0662", "1\u00a02"])
     def test_non_ascii_rejected(self, text):

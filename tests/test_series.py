@@ -8,11 +8,11 @@ from hypothesis import strategies as st
 
 from shallowperm import series
 from shallowperm.series import (
+    CatalogEntry,
     NegativeDegreeResidue,
     NonIntegerCount,
     OrderExceeded,
     OutOfDomain,
-    RationalSeries,
     ZeroConstantTerm,
     binomial,
     catalog,
@@ -65,16 +65,24 @@ class TestCoefficient:
             coefficient(s, 4)
 
     def test_non_integer_count(self):
-        bogus = RationalSeries(
-            coefficients=(Fraction(1), Fraction(1, 2)), counting=True, name="bogus"
-        )
-        with pytest.raises(NonIntegerCount):
-            coefficient(bogus, 1)
+        for numerator, denominator, statistic_variable in [
+            ((1,), (2, -1), None), (({0: 1},), ({0: 2},), "t"),
+        ]:
+            bogus = CatalogEntry(
+                "bogus", "halves", numerator, denominator, statistic_variable=statistic_variable
+            )
+            with pytest.raises(NonIntegerCount, match="^bogus: entry \\(0,0\\) is 1/2$"):
+                bogus.build(3)
 
     def test_negative_counting_coefficient(self):
-        bogus = RationalSeries(coefficients=(Fraction(-1),), counting=True)
-        with pytest.raises(NonIntegerCount):
-            coefficient(bogus, 0)
+        for numerator, denominator, statistic_variable in [
+            ((-1,), (1,), None), (({0: -1},), ({0: 1},), "t"),
+        ]:
+            bogus = CatalogEntry(
+                "bogus", "negative", numerator, denominator, statistic_variable=statistic_variable
+            )
+            with pytest.raises(NonIntegerCount, match="^bogus: entry \\(0,0\\) is -1$"):
+                bogus.build(2)
 
     def test_constant_term(self):
         s = catalog("T231", 3)
@@ -210,13 +218,13 @@ class TestBivariateCatalog:
             a.row_sum(-1)
 
     def test_negative_degree_guard(self):
-        with pytest.raises(NegativeDegreeResidue):
-            series._rows_to_bivariate(
-                [{0: Fraction(1)}, {-1: Fraction(1)}],
-                size_variable="x",
-                statistic_variable="t",
-                name="guard",
-            )
+        # A denominator led by t leaves 1/t at x^0; a numerator t^2 puts t^2 there.
+        guard = CatalogEntry("guard", "1/t", ({0: 1},), ({1: 1},), statistic_variable="t")
+        with pytest.raises(NegativeDegreeResidue, match="^guard: negative t-powers survive at x\\^0"):
+            guard.build(2)
+        guard = CatalogEntry("guard", "t^2", ({2: 1},), ({0: 1},), statistic_variable="t")
+        with pytest.raises(ValueError, match="^guard: statistic degree exceeds size at 0$"):
+            guard.build(2)
 
 
 # Bivariate polynomials as {(size power, statistic power): coefficient}.
@@ -307,6 +315,11 @@ class TestCatalogSurface:
                 catalog("T231", -1)
             with pytest.raises(OrderExceeded):
                 catalog("T231", series.ORDER_CAP + 1)
+
+    @pytest.mark.parametrize("name", sorted(series.CATALOG))
+    def test_every_entry_builds_at_the_cap(self, name):
+        # The pinned bivariate prefixes stop at order 24, short of the cap.
+        assert catalog(name, series.ORDER_CAP).order == series.ORDER_CAP
 
     @pytest.mark.parametrize("name", sorted(series.CATALOG))
     def test_build_rejects_negative_order(self, name):
