@@ -12,7 +12,6 @@ accepted on input when every value is a single digit.
 """
 from __future__ import annotations
 
-import re
 from enum import Enum
 from operator import gt, sub
 from typing import Iterable, NamedTuple, Sequence
@@ -47,9 +46,6 @@ def validate_permutation(word: Iterable[int]) -> Perm:
     return w
 
 
-_SEPARATORS = re.compile(r"[,\s]+")
-
-
 def parse_permutation(text: str) -> Perm:
     """
     Parse one-line notation from text.
@@ -70,23 +66,25 @@ def parse_permutation(text: str) -> Perm:
     ()
     """
     stripped = text.strip()
-    if not stripped:
-        return ()
     if not stripped.isascii():
         raise ParseError(f"cannot parse {text!r}")
-    if _SEPARATORS.search(stripped):
-        tokens = [t for t in _SEPARATORS.split(stripped) if t]
-        for tok in tokens:
-            if not tok.isdigit():
-                raise ParseError(f"bad token {tok!r}")
-        return validate_permutation(map(int, tokens))
-    if not stripped.isdigit():
-        raise ParseError(f"cannot parse {text!r}")
-    if len(stripped) >= 10:
-        raise ParseError(
-            "digit-string form is ambiguous for length >= 10; separate values with commas"
-        )
-    return validate_permutation(int(c) for c in stripped)
+    # Separators are commas and whitespace: in ASCII, str.isspace holds for
+    # \t\n\v\f\r, the space and \x1c-\x1f.
+    tokens = stripped.replace(",", " ").split()
+    if tokens == [stripped]:
+        if not stripped.isdigit():
+            raise ParseError(f"cannot parse {text!r}")
+        if len(stripped) >= 10:
+            raise ParseError(
+                "digit-string form is ambiguous for length >= 10; separate values with commas"
+            )
+        tokens = stripped
+    elif tokens and not "".join(tokens).isdigit():
+        raise ParseError(f"bad token {next(t for t in tokens if not t.isdigit())!r}")
+    values = tuple(map(int, tokens))
+    if set(values).issuperset(range(1, len(values) + 1)):
+        return values
+    return validate_permutation(values)  # raises, naming the first bad value
 
 
 def format_permutation(p: Perm) -> str:

@@ -2,13 +2,14 @@ import csv
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from shallowperm import cli, suites
+from shallowperm import cli, perms, shallow, suites
 from shallowperm.cli import main
 from shallowperm.enumeration import MethodDisagreement, VerificationPair
 
@@ -23,6 +24,24 @@ def run_json(capsys, *argv):
     code, out, err = run(capsys, *argv)
     assert err == ""
     return code, json.loads(out)
+
+
+def csv_rows(capsys, *argv):
+    return list(csv.reader(io.StringIO(run(capsys, *argv, "--format", "csv")[1])))
+
+
+def cells(values):
+    """JSON values as the csv writer writes them."""
+    return ["" if v is None else str(v) for v in values]
+
+
+def grown(rng, n):
+    """A shallow word of size n grown by random extend_right steps."""
+    p = (1,)
+    while len(p) < n:
+        lr, rl = perms.lr_max_flags(p), perms.rl_min_flags(p)
+        p = shallow.extend_right(p, rng.choice([None] + [i + 1 for i in range(len(p)) if lr[i] or rl[i]]))
+    return p
 
 
 class TestCount:
@@ -152,6 +171,33 @@ class TestFormatParity:
         _, out_csv, _ = run(capsys, *args, "--format", "csv")
         parsed = list(csv.reader(io.StringIO(out_csv)))
         assert [row[0] for row in parsed[1:]] == [c["check"] for c in checks]
+
+    @pytest.mark.parametrize("n", [10, 57, 320, 500])
+    def test_certify_csv_rows_are_json_steps(self, capsys, n):
+        rng = random.Random(n)
+        for word in (grown(rng, n), tuple(rng.sample(range(1, n + 1), n))):
+            text = perms.format_permutation(word)
+            steps = run_json(capsys, "certify", text)[1]["payload"]["steps"]
+            assert len(steps) == n - 1
+            assert csv_rows(capsys, "certify", text) == [list(steps[0])] + [cells(s.values()) for s in steps]
+
+    @pytest.mark.parametrize("argv, records", [
+        (("count", "--n", "1..7", "--by", "descents"), ("rows",)),
+        (("verify", "--suite", "symmetry", "--max-n", "6"), ("checks",)),
+    ])
+    def test_csv_rows_are_json_records(self, capsys, argv, records):
+        value = run_json(capsys, *argv)[1]["payload"]
+        for key in records:
+            value = value[key]
+        keys = [key for key in value[0] if key != "elapsed_ms"]
+        assert csv_rows(capsys, *argv) == [keys] + [cells(r[key] for key in keys) for r in value]
+
+    def test_profile_csv_rows_are_json_entries(self, capsys):
+        payload = run_json(capsys, "profile", "--n", "5")[1]["payload"]
+        expected = [["side", *payload["left"]["entries"][0]]]
+        for side in ("left", "right"):
+            expected += [[side, *cells(e.values())] for e in payload[side]["entries"]]
+        assert csv_rows(capsys, "profile", "--n", "5") == expected
 
     def test_every_command_round_trips(self, capsys):
         invocations = [

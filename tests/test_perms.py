@@ -37,6 +37,34 @@ def all_perms(n):
     return itertools.permutations(range(1, n + 1))
 
 
+def regex_parse(text):
+    """parse_permutation as it was when it split on the regex [,\\s]+."""
+    stripped = text.strip()
+    if not stripped:
+        return ()
+    if not stripped.isascii():
+        raise ParseError(f"cannot parse {text!r}")
+    if re.search(r"[,\s]+", stripped):
+        tokens = [t for t in re.split(r"[,\s]+", stripped) if t]
+        for tok in tokens:
+            if not tok.isdigit():
+                raise ParseError(f"bad token {tok!r}")
+        return validate_permutation(map(int, tokens))
+    if not stripped.isdigit():
+        raise ParseError(f"cannot parse {text!r}")
+    if len(stripped) >= 10:
+        raise ParseError("digit-string form is ambiguous for length >= 10; separate values with commas")
+    return validate_permutation(int(c) for c in stripped)
+
+
+def outcome(parse, text):
+    """The parsed word, or the type and message of the error raised."""
+    try:
+        return parse(text)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
 words_up_to_500 = (
     st.integers(0, 500).flatmap(lambda n: st.permutations(range(1, n + 1))).map(tuple)
 )
@@ -150,6 +178,25 @@ class TestParsing:
         # "²" passes str.isdigit but not int; int reads the Arabic-Indic digits.
         with pytest.raises(ParseError, match="cannot parse"):
             parse_permutation(text)
+
+    @pytest.mark.parametrize("template", ["2{c}1{c}{c}3", "{c}1{c}", "1{c}", "12{c}3", "{c}", "3{c}x{c}1"])
+    def test_every_ascii_separator(self, template):
+        # The parser splits with str.split; the regex it replaced is the oracle.
+        for c in map(chr, range(128)):
+            text = template.format(c=c)
+            assert outcome(parse_permutation, text) == outcome(regex_parse, text), repr(text)
+
+    @given(st.text(st.sampled_from("0123456789, \t\n\x0b\x0c\r\x1c\x1fx+_-"), max_size=30))
+    def test_matches_regex_split(self, text):
+        assert outcome(parse_permutation, text) == outcome(regex_parse, text)
+
+    def test_first_bad_value_named(self):
+        for text, message in [
+            ("3,1,4", "value 4 out of range 1..3"), ("2,0,5,1", "value 0 out of range 1..4"),
+            ("2,3,2,1", "duplicate value 2"), ("40,2,2,1", "value 40 out of range 1..4"),
+        ]:
+            with pytest.raises(NotAPermutation, match=f"^{message}$"):
+                parse_permutation(text)
 
     def test_long_digit_string_rejected(self):
         with pytest.raises(ParseError):
