@@ -8,11 +8,12 @@ arbitrarily large values survive consumers that parse JSON numbers as
 doubles.
 
 Each `_cmd_*` handler takes the parsed arguments and returns
-`(exit code, parameters, payload, header, rows)`. A list of records
-(certify steps, count rows, verify checks, profile entries) is built once,
-as a `_Table` of columns: the payload holds it, and the csv/md rows are
-its columns zipped. `main` owns the rest in one place: the clock, the
-single `_emit` call, and the map from errors to exit codes.
+`(exit code, parameters, payload, table)`. A list of records (certify
+steps, count rows, verify checks, profile entries) is built once, as a
+`_Table` of columns that the payload holds; `table` is the one `_Table`
+that csv and md print, its keys the header and its columns zipped the
+rows. `main` owns the rest in one place: the clock, the single `_emit`
+call, and the map from errors to exit codes.
 
 `_dumps` writes the JSON envelope with the same bytes as
 `json.dumps(doc, indent=2)`. CPython serves any indented dump with its
@@ -41,8 +42,8 @@ import os
 import sys
 import time
 from dataclasses import dataclass
-from itertools import repeat
-from typing import Iterable, Optional, Sequence
+from itertools import chain, repeat
+from typing import Optional, Sequence
 
 from . import series
 from .enumeration import (
@@ -88,7 +89,8 @@ def _fmt_count(value) -> Optional[str]:
     return None if value is None else str(value)
 
 
-def _render_rows(header: Sequence[str], rows: Iterable[Sequence], fmt: str) -> str:
+def _render_rows(table: _Table, fmt: str) -> str:
+    header, rows = table.keys, zip(*table.columns)
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
@@ -117,7 +119,8 @@ _scalar_writer = {
 
 @dataclass
 class _Table:
-    """Records held as columns: the JSON keys, and one sequence of cells per key."""
+    """Records held as columns: the JSON keys, and one sequence of cells per key.
+    A table only printed as csv or md may hold iterators, read once."""
 
     keys: tuple[str, ...]
     columns: tuple[Sequence, ...]
@@ -180,7 +183,7 @@ def _records(table: _Table, pad: str) -> list[str]:
     return list(map("".join, zip(*parts, repeat(pad + "}"))))
 
 
-def _emit(command: str, parameters: dict, payload: dict, header, rows, fmt: str, started: float) -> None:
+def _emit(command: str, parameters: dict, payload: dict, table: _Table, fmt: str, started: float) -> None:
     if fmt == "json":
         doc = {
             "schema_version": SCHEMA_VERSION,
@@ -191,7 +194,7 @@ def _emit(command: str, parameters: dict, payload: dict, header, rows, fmt: str,
         }
         print(_dumps(doc))
     else:
-        sys.stdout.write(_render_rows(header, rows, fmt))
+        sys.stdout.write(_render_rows(table, fmt))
 
 
 # ------------------------------------------------------------------- handlers
@@ -225,7 +228,7 @@ def _cmd_count(args):
         "method": args.method,
     }
     payload = {"method": table.query.method.value, "rows": records}
-    return 0, parameters, payload, records.keys[:3], zip(*records.columns[:3])
+    return 0, parameters, payload, _Table(records.keys[:3], records.columns[:3])
 
 
 def _cmd_verify(args):
@@ -234,8 +237,7 @@ def _cmd_verify(args):
         ((p.label, p.n, p.k, _fmt_count(p.table_value), _fmt_count(p.oracle_value), p.match)
          for p in report.pairs), 6
     ))
-    rows = list(zip(*checks.columns))
-    mismatch = next((dict(zip(checks.keys, row)) for row in rows if not row[-1]), None)
+    mismatch = next((dict(zip(checks.keys, row)) for row in zip(*checks.columns) if not row[-1]), None)
     payload = {
         "suite": args.suite,
         "max_n": args.max_n,
@@ -244,7 +246,7 @@ def _cmd_verify(args):
         "first_mismatch": mismatch,
     }
     parameters = {"suite": args.suite, "max_n": args.max_n}
-    return (0 if mismatch is None else 1), parameters, payload, checks.keys, rows
+    return (0 if mismatch is None else 1), parameters, payload, checks
 
 
 def _cmd_certify(args):
@@ -262,7 +264,7 @@ def _cmd_certify(args):
         "steps": steps,
     }
     code = 0 if cert.verdict else 1
-    return code, {"permutation": args.permutation}, payload, steps.keys, zip(*steps.columns)
+    return code, {"permutation": args.permutation}, payload, steps
 
 
 def _cmd_gf(args):
@@ -275,14 +277,19 @@ def _cmd_gf(args):
         coeffs = list(map(str, expansion.coefficients))
         payload.update(kind="univariate", size_variable=expansion.variable,
                        order=args.order, coefficients=coeffs)
-        header, rows = ("n", "coefficient"), list(enumerate(coeffs))
+        table = _Table(("n", "coefficient"), (range(len(coeffs)), coeffs))
     else:
+        rows = [[str(v) for v in row] for row in expansion.rows]
         payload.update(kind="bivariate", size_variable=expansion.size_variable,
                        statistic_variable=expansion.statistic_variable, order=args.order,
-                       rows=[[str(v) for v in row] for row in expansion.rows])
-        header = ("n", "k", "value")
-        rows = [(n, k, v) for n, row in enumerate(payload["rows"]) for k, v in enumerate(row)]
-    return 0, {"name": args.name, "order": args.order}, payload, header, rows
+                       rows=rows)
+        # Read only when csv or md prints it.
+        table = _Table(("n", "k", "value"), (
+            (n for n, row in enumerate(rows) for _ in row),
+            (k for row in rows for k in range(len(row))),
+            chain.from_iterable(rows),
+        ))
+    return 0, {"name": args.name, "order": args.order}, payload, table
 
 
 def _cmd_profile(args):
@@ -299,7 +306,7 @@ def _cmd_profile(args):
         ))
         payload[side] = {"descriptor": prof.descriptor, "total": str(prof.total()), "entries": entries}
         rows.extend(zip(repeat(side), *entries.columns))
-    return 0, {"n": args.n}, payload, ("side", "cycles", "statistic", "count"), rows
+    return 0, {"n": args.n}, payload, _Table(("side", "cycles", "statistic", "count"), _columns(rows, 4))
 
 
 # ---------------------------------------------------------------------- entry
@@ -312,9 +319,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_format(p):
-        p.add_argument("--format", choices=("json", "csv", "md"), default="json")
-
     p_count = sub.add_parser("count", help="count shallow permutations")
     p_count.add_argument("--n", type=_parse_sizes, required=True, metavar="N|LO..HI")
     p_count.add_argument("--avoid", action="append", metavar="PATTERN",
@@ -322,31 +326,28 @@ def build_parser() -> argparse.ArgumentParser:
     p_count.add_argument("--symmetry", choices=tuple(_SYMMETRIES))
     p_count.add_argument("--by", choices=tuple(REFINEMENTS))
     p_count.add_argument("--method", choices=[m.value for m in Method], default="constructive")
-    add_format(p_count)
     p_count.set_defaults(func=_cmd_count)
 
     p_verify = sub.add_parser("verify", help="run a named verification suite")
     p_verify.add_argument("--suite", choices=tuple(SUITES), required=True)
     p_verify.add_argument("--max-n", type=int, default=None)
-    add_format(p_verify)
     p_verify.set_defaults(func=_cmd_verify)
 
     p_certify = sub.add_parser("certify", help="certify shallowness of one permutation")
     p_certify.add_argument("permutation")
-    add_format(p_certify)
     p_certify.set_defaults(func=_cmd_certify)
 
     p_gf = sub.add_parser("gf", help="expand a catalog generating function")
     p_gf.add_argument("--name", required=True)
     p_gf.add_argument("--order", type=int, default=12)
-    add_format(p_gf)
     p_gf.set_defaults(func=_cmd_gf)
 
     p_profile = sub.add_parser("profile", help="compare exploratory statistic profiles")
     p_profile.add_argument("--n", type=int, required=True)
-    add_format(p_profile)
     p_profile.set_defaults(func=_cmd_profile)
 
+    for p in sub.choices.values():
+        p.add_argument("--format", choices=("json", "csv", "md"), default="json")
     return parser
 
 
@@ -358,7 +359,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     started = time.perf_counter()
     try:
-        code, parameters, payload, header, rows = args.func(args)
+        code, parameters, payload, table = args.func(args)
     except (SizeCapExceeded, OrderExceeded, MethodDisagreement) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -366,7 +367,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
-        _emit(args.command, parameters, payload, header, rows, args.format, started)
+        _emit(args.command, parameters, payload, table, args.format, started)
         sys.stdout.flush()
     except BrokenPipeError:
         # The reader is gone. Point the descriptor at devnull so that the

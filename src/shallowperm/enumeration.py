@@ -38,6 +38,7 @@ from typing import Callable, Iterable, Iterator, Optional
 
 from . import series
 from .patterns import (
+    LENGTH_3,
     POSITION_ANCHORED_3412,
     VALUE_ANCHORED_3412,
     PatternSpec,
@@ -111,8 +112,8 @@ class Caps:
 
 DEFAULT_CAPS = Caps()
 
-_AVOID_132 = (PatternSpec(pattern=(1, 3, 2)),)
-_AVOID_321 = (PatternSpec(pattern=(3, 2, 1)),)
+_AVOID_132 = (LENGTH_3["132"],)
+_AVOID_321 = (LENGTH_3["321"],)
 
 REFINEMENTS: dict[str, Callable[[Perm], int]] = {
     "descents": descent_count,

@@ -93,16 +93,17 @@ POSITION_ANCHORED_3412 = PatternSpec(
     anchors=(Anchor.POS_FIRST, None, None, Anchor.POS_LAST),
 )
 
-NAMED_SPECS = {
-    "3n12": VALUE_ANCHORED_3412,
-    "u3412": POSITION_ANCHORED_3412,
-}
+# The one spec of each length-3 pattern, by its digit word.
+LENGTH_3 = {name: classical(map(int, name)) for name in ("123", "132", "213", "231", "312", "321")}
+
+NAMED_SPECS = {**LENGTH_3, "3n12": VALUE_ANCHORED_3412, "u3412": POSITION_ANCHORED_3412}
 
 
 def parse_pattern(text: str) -> PatternSpec:
     """
     Resolve CLI pattern syntax: a digit word like "132" or "3412", or one
-    of the reserved names "3n12" and "u3412".
+    of the reserved names "3n12" and "u3412". A name in NAMED_SPECS
+    returns its one shared spec, so it keeps its cached kernel.
     """
     name = text.strip()
     if name in NAMED_SPECS:
@@ -281,12 +282,12 @@ def _find_u3412(p: Perm) -> _Values:
 
 
 _KERNELS = {
-    classical((1, 2, 3)): _find_123,
-    classical((3, 2, 1)): _find_321,
-    classical((2, 3, 1)): _find_231,
-    classical((1, 3, 2)): _find_132,
-    classical((2, 1, 3)): _find_213,
-    classical((3, 1, 2)): _find_312,
+    LENGTH_3["123"]: _find_123,
+    LENGTH_3["321"]: _find_321,
+    LENGTH_3["231"]: _find_231,
+    LENGTH_3["132"]: _find_132,
+    LENGTH_3["213"]: _find_213,
+    LENGTH_3["312"]: _find_312,
     VALUE_ANCHORED_3412: _find_3n12,
     POSITION_ANCHORED_3412: _find_u3412,
 }

@@ -387,13 +387,14 @@ def catalog_names() -> tuple[str, ...]:
     return tuple(CATALOG)
 
 
+@functools.lru_cache(maxsize=128)
 def catalog(name: str, order: int = 12) -> Union[RationalSeries, BivariateSeries]:
     """
     Expand a named catalog entry to the requested truncation order.
 
     Raises KeyError for unknown names and OrderExceeded beyond ORDER_CAP.
-    Expansions are immutable and memoised by (name, order); the checks
-    above run on every call.
+    Expansions are immutable and memoised by the call's arguments; a call
+    that raises is not cached, so it raises again.
     """
     if name not in CATALOG:
         raise KeyError(f"unknown catalog name {name!r}; see catalog_names()")
@@ -401,11 +402,6 @@ def catalog(name: str, order: int = 12) -> Union[RationalSeries, BivariateSeries
         raise ValueError("order must be nonnegative")
     if order > ORDER_CAP:
         raise OrderExceeded(f"order {order} beyond the configured cap {ORDER_CAP}")
-    return _expand(name, order)
-
-
-@functools.lru_cache(maxsize=128, typed=True)
-def _expand(name: str, order: int) -> Union[RationalSeries, BivariateSeries]:
     return CATALOG[name].build(order)
 
 
@@ -425,7 +421,6 @@ _CLOSED_FORM_FUNCS: dict[str, tuple[int, Callable[[int], int]]] = {
     "231_leading_pair": (5, lambda n: 3 * n - 11),
     "123_involutions": (1, _grid),
     "123_centrosymmetric": (1, lambda n: _grid(n) if n % 2 == 0 else 1),
-    "321_total": (1, lambda n: fibonacci(2 * n - 1)),
     "321_involutions": (1, lambda n: fibonacci(n + 1)),
     "321_centrosymmetric": (1, lambda n: fibonacci(n + 1) if n % 2 == 0 else fibonacci(n - 2)),
     "321_persymmetric": (1, lambda n: fibonacci(n + 1)),

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import dataclasses
 from collections import Counter
+from functools import partial
 from typing import Callable, Iterable, Optional, Sequence
 
 from . import series
@@ -21,17 +22,16 @@ from .enumeration import (
     all_perms, brute_shallow_words, count, descent_table, oracle_values, profile,
     search_mesh_counterexample, verify,
 )
-from .patterns import POSITION_ANCHORED_3412, VALUE_ANCHORED_3412, PatternSpec, avoids, classical
+from .patterns import (
+    LENGTH_3, POSITION_ANCHORED_3412, VALUE_ANCHORED_3412, PatternSpec, avoids, classical,
+)
 from .perms import (
     Perm, SymmetryClass, SymmetryKind, apply_symmetry, decreasing, descent_count, direct_sum,
     format_permutation, identity, inverse, skew_sum,
 )
 from .shallow import achieves_upper_bound, certify_shallow, generate_shallow, is_shallow, wrap_n1
 
-PATTERNS = {
-    name: classical(tuple(int(c) for c in name))
-    for name in ("123", "132", "213", "231", "312", "321")
-}
+PATTERNS = LENGTH_3  # the shared spec of each length-3 pattern, by name
 
 _TOTAL_ORACLES = (
     ("132", "FibOdd"),
@@ -117,18 +117,14 @@ def _rows(
 @dataclasses.dataclass(frozen=True)
 class Check:
     """A suite check, called as check(max_n, caps) for its rows; method is
-    the one whose cap bounds its top size (see _top) and run_suite's max_n."""
+    the one whose cap bounds its top size (see _top) and run_suite's max_n.
+    A check that computes its rows is declared by @partial(Check, method)."""
 
     method: Method
     compute: Callable[[Optional[int], Caps], list[VerificationPair]]
 
     def __call__(self, max_n: Optional[int], caps: Caps) -> list[VerificationPair]:
         return self.compute(max_n, caps)
-
-
-def _bounded(method: Method) -> Callable[[Callable], Check]:
-    """Declare a check that computes its rows, bounded by the method's cap."""
-    return lambda compute: Check(method, compute)
 
 
 def _per_size(
@@ -150,7 +146,7 @@ def _per_size(
 # --------------------------------------------------------------------- table1
 
 
-@_bounded(Method.BRUTE_FORCE)
+@partial(Check, Method.BRUTE_FORCE)
 def check_table1(max_n: Optional[int], caps: Caps) -> list[VerificationPair]:
     """Each pattern's column as count --avoid reads it, then one brute walk,
     to no size beyond the columns, that tests each shallow word of S_n for
@@ -176,7 +172,7 @@ def check_table1(max_n: Optional[int], caps: Caps) -> list[VerificationPair]:
 # ------------------------------------------------------------------- descents
 
 
-@_bounded(Method.CONSTRUCTIVE)
+@partial(Check, Method.CONSTRUCTIVE)
 def check_descents(max_n: Optional[int], caps: Caps) -> list[VerificationPair]:
     """The descent refinements to size 9, then the Grassmannian counts to size
     10 read from the same 321 table: a word with at most one descent avoids 321."""
@@ -209,7 +205,7 @@ def check_descents(max_n: Optional[int], caps: Caps) -> list[VerificationPair]:
 # ------------------------------------------------------------------- symmetry
 
 
-@_bounded(Method.CONSTRUCTIVE)
+@partial(Check, Method.CONSTRUCTIVE)
 def check_symmetry(max_n: Optional[int], caps: Caps) -> list[VerificationPair]:
     """Each class's query walks its tree once per size; a word tallies
     whether it avoids the pattern of each row of its class."""
@@ -237,7 +233,7 @@ check_symmetry_closure = _per_size(
     lambda p: sum(not is_shallow(apply_symmetry(p, kind)) for kind in SymmetryKind))
 
 
-@_bounded(Method.CONSTRUCTIVE)
+@partial(Check, Method.CONSTRUCTIVE)
 def check_direct_sum_closure(max_n: Optional[int], caps: Caps) -> list[VerificationPair]:
     total = _top(Method.CONSTRUCTIVE, 8, max_n, caps)
     small = [list(generate_shallow(n)) for n in range(total // 2 + 1)]
@@ -263,7 +259,7 @@ check_decreasing = _per_size(
     lambda p: not is_shallow(p), summed=True)
 
 
-@_bounded(Method.CONSTRUCTIVE)
+@partial(Check, Method.CONSTRUCTIVE)
 def check_skew_families(max_n: Optional[int], caps: Caps) -> list[VerificationPair]:
     top = _top(Method.CONSTRUCTIVE, 5, max_n, caps)
     rng = range(top + 1)
@@ -328,7 +324,7 @@ check_mesh_necessary = _per_size(
     lambda p: not avoids(p, _AVOID_ANCHORED_3412))
 
 
-@_bounded(Method.BRUTE_FORCE)
+@partial(Check, Method.BRUTE_FORCE)
 def check_mesh_counterexample(max_n: Optional[int], caps: Caps) -> list[VerificationPair]:
     n_top = _top(Method.BRUTE_FORCE, caps.brute_force, max_n, caps)
     witness = search_mesh_counterexample(n_top, caps)
@@ -345,7 +341,7 @@ def check_mesh_counterexample(max_n: Optional[int], caps: Caps) -> list[Verifica
 # ---------------------------------------------------------------- exploratory
 
 
-@_bounded(Method.CONSTRUCTIVE)
+@partial(Check, Method.CONSTRUCTIVE)
 def check_profiles(max_n: Optional[int], caps: Caps) -> list[VerificationPair]:
     n_top = _top(Method.CONSTRUCTIVE, 8, max_n, caps)
     pairs: list[VerificationPair] = []

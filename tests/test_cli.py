@@ -9,9 +9,10 @@ from pathlib import Path
 
 import pytest
 
-from shallowperm import cli, perms, shallow, suites
+from shallowperm import cli, enumeration, perms, suites
 from shallowperm.cli import main
 from shallowperm.enumeration import MethodDisagreement, VerificationPair
+from words import grown
 
 
 def run(capsys, *argv):
@@ -33,15 +34,6 @@ def csv_rows(capsys, *argv):
 def cells(values):
     """JSON values as the csv writer writes them."""
     return ["" if v is None else str(v) for v in values]
-
-
-def grown(rng, n):
-    """A shallow word of size n grown by random extend_right steps."""
-    p = (1,)
-    while len(p) < n:
-        lr, rl = perms.lr_max_flags(p), perms.rl_min_flags(p)
-        p = shallow.extend_right(p, rng.choice([None] + [i + 1 for i in range(len(p)) if lr[i] or rl[i]]))
-    return p
 
 
 class TestCount:
@@ -74,6 +66,19 @@ class TestCount:
         assert code == 0
         by_k = {row["k"]: row["count"] for row in doc["payload"]["rows"]}
         assert by_k == {0: "1", 1: "5", 2: "6", 3: "1"}
+
+    def test_separated_321_walks_the_321_tree(self, capsys, monkeypatch):
+        # "3,2,1" names no shared spec, so it parses to an equal new one.
+        walked = []
+        real = enumeration.generate_321_avoiding
+        monkeypatch.setattr(enumeration, "generate_321_avoiding", lambda n: walked.append(n) or real(n))
+        counts = []
+        for text in ("3,2,1", "321"):
+            code, doc = run_json(capsys, "count", "--n", "1..6", "--avoid", text)
+            assert code == 0
+            counts.append([row["count"] for row in doc["payload"]["rows"]])
+        assert counts[0] == counts[1] == ["1", "2", "5", "13", "34", "89"]
+        assert walked == [*range(1, 7)] * 2
 
     def test_json_round_trip(self, capsys):
         code, out, _ = run(capsys, "count", "--n", "3", "--method", "both")
@@ -366,6 +371,13 @@ class TestProfile:
         _, out_csv, _ = run(capsys, "profile", "--n", "3", "--format", "csv")
         parsed = list(csv.reader(io.StringIO(out_csv)))
         assert parsed[1:] == expected
+
+
+@pytest.mark.parametrize("command", ["count", "verify", "certify", "gf", "profile"])
+def test_help_lists_format_once(capsys, command):
+    code, out, _ = run(capsys, command, "--help")
+    listed = [line.split()[:2] for line in out.splitlines() if line.lstrip().startswith("--format")]
+    assert (code, listed) == (0, [["--format", "{json,csv,md}"]])
 
 
 class TestSuccessiveCalls:

@@ -18,8 +18,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shallowperm import cli, perms, series, shallow, suites
+from shallowperm import cli, perms, series, suites
 from shallowperm.enumeration import VerificationPair
+from words import grown
 
 PINNED = Path(__file__).parent / "data" / "cli_transcripts.json"
 
@@ -72,15 +73,6 @@ def test_pinned_transcript_documents(written):
     records = json.loads(PINNED.read_text())
     commands = [r["argv"] for r in records if r["stdout"].startswith("{")]
     assert_identical(written(*commands), len(commands))
-
-
-def grown(rng, n):
-    p = (1,)
-    while len(p) < n:
-        lr, rl = perms.lr_max_flags(p), perms.rl_min_flags(p)
-        slots = [None] + [i + 1 for i in range(len(p)) if lr[i] or rl[i]]
-        p = shallow.extend_right(p, rng.choice(slots))
-    return p
 
 
 @pytest.mark.parametrize("n", [10, 57, 320, 500, 2000])

@@ -4,8 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from shallowperm import enumeration, suites
 from shallowperm.patterns import (
     Anchor,
+    LENGTH_3,
     POSITION_ANCHORED_3412,
     VALUE_ANCHORED_3412,
     PatternSpec,
@@ -17,10 +19,7 @@ from shallowperm.patterns import (
 )
 from shallowperm.perms import identity, inverse, parse_permutation
 from shallowperm.shallow import generate_shallow
-
-
-def all_perms(n):
-    return itertools.permutations(range(1, n + 1))
+from words import all_perms
 
 
 def brute_least_occurrence(host, spec):
@@ -68,9 +67,19 @@ class TestSpecValidation:
             PatternSpec(pattern=(1, 2), anchors=(Anchor.POS_LAST, None))
 
     def test_parse_named(self):
+        for name, spec in LENGTH_3.items():
+            assert parse_pattern(name) is spec
+            assert spec == classical(map(int, name))
         assert parse_pattern("3n12") is VALUE_ANCHORED_3412
         assert parse_pattern("u3412") is POSITION_ANCHORED_3412
-        assert parse_pattern("132") == classical((1, 3, 2))
+        assert parse_pattern("1,3,2") == classical((1, 3, 2))
+
+    def test_one_spec_per_length_3_pattern(self):
+        assert sorted(LENGTH_3) == ["123", "132", "213", "231", "312", "321"]
+        assert suites.PATTERNS is LENGTH_3
+        assert enumeration._AVOID_132[0] is LENGTH_3["132"]
+        assert enumeration._AVOID_321[0] is LENGTH_3["321"]
+        assert all(spec._kernel is not None for spec in LENGTH_3.values())
 
 
 class TestFindOccurrence:

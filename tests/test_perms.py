@@ -1,4 +1,3 @@
-import itertools
 import random
 import re
 
@@ -31,10 +30,7 @@ from shallowperm.perms import (
     statistics,
     validate_permutation,
 )
-
-
-def all_perms(n):
-    return itertools.permutations(range(1, n + 1))
+from words import all_perms
 
 
 def regex_parse(text):

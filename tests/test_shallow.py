@@ -1,5 +1,4 @@
 import hashlib
-import itertools
 import random
 import time
 import tracemalloc
@@ -41,6 +40,7 @@ from shallowperm.shallow import (
     replay_certificate,
     wrap_n1,
 )
+from words import all_perms, flag_slots, grown
 
 
 P321 = classical((3, 2, 1))
@@ -58,10 +58,6 @@ CLASS_WALKS = {
     **{cls.value: (lambda n, cls=cls: generate_symmetric(n, cls),
                    lambda p, cls=cls: is_in_class(p, cls)) for cls in SymmetryClass},
 }
-
-
-def all_perms(n):
-    return itertools.permutations(range(1, n + 1))
 
 
 def brute_shallow(n):
@@ -88,21 +84,6 @@ def reference_certificate(p):
             kind = StepKind.VIOLATION
         steps.append((j + 1, moved, kind))
     return tuple(steps)
-
-
-def flag_slots(t):
-    """The 0-based slots of t holding a left-to-right maximum or a
-    right-to-left minimum, from the flag definitions."""
-    lr, rl = lr_max_flags(t), rl_min_flags(t)
-    return [i for i in range(len(t)) if lr[i] or rl[i]]
-
-
-def random_walk(rng, n):
-    """A shallow word of size n grown by random legal extend_right steps."""
-    t = (1,)
-    while len(t) < n:
-        t = extend_right(t, rng.choice([None] + [i + 1 for i in flag_slots(t)]))
-    return t
 
 
 def level_by_level(n):
@@ -262,7 +243,7 @@ class TestCertificates:
     def test_large_words_match_the_definitions(self):
         rng = random.Random(20240611)
         sizes = [10, 17, 30, 55, 100, 180, 320, 500, 1000, 2000]
-        words = [random_walk(rng, n) for n in sizes]
+        words = [grown(rng, n) for n in sizes]
         words += [tuple(rng.sample(range(1, n + 1), n)) for n in sizes]
         for p in words:
             cert = certify_shallow(p)
