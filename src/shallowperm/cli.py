@@ -231,22 +231,24 @@ def _cmd_count(args):
     return 0, parameters, payload, _Table(records.keys[:3], records.columns[:3])
 
 
+def _check_record(p):
+    return p.label, p.n, p.k, _fmt_count(p.table_value), _fmt_count(p.oracle_value), p.match
+
+
 def _cmd_verify(args):
     report = run_suite(args.suite, args.max_n)
-    checks = _Table(("check", "n", "k", "observed", "expected", "match"), _columns(
-        ((p.label, p.n, p.k, _fmt_count(p.table_value), _fmt_count(p.oracle_value), p.match)
-         for p in report.pairs), 6
-    ))
-    mismatch = next((dict(zip(checks.keys, row)) for row in zip(*checks.columns) if not row[-1]), None)
+    checks = _Table(("check", "n", "k", "observed", "expected", "match"),
+                    _columns(map(_check_record, report.pairs), 6))
+    mismatch = report.first_mismatch
     payload = {
         "suite": args.suite,
         "max_n": args.max_n,
-        "overall": mismatch is None,
+        "overall": report.overall,
         "checks": checks,
-        "first_mismatch": mismatch,
+        "first_mismatch": None if mismatch is None else dict(zip(checks.keys, _check_record(mismatch))),
     }
     parameters = {"suite": args.suite, "max_n": args.max_n}
-    return (0 if mismatch is None else 1), parameters, payload, checks
+    return (0 if report.overall else 1), parameters, payload, checks
 
 
 def _cmd_certify(args):

@@ -80,10 +80,6 @@ class MethodDisagreement(RuntimeError):
         self.constructive = constructive
 
 
-class OracleDomainError(ValueError):
-    """The oracle does not cover the table being verified."""
-
-
 class Method(Enum):
     BRUTE_FORCE = "brute"
     CONSTRUCTIVE = "constructive"
@@ -112,8 +108,10 @@ class Caps:
 
 DEFAULT_CAPS = Caps()
 
-_AVOID_132 = (LENGTH_3["132"],)
-_AVOID_321 = (LENGTH_3["321"],)
+# Spec tuples for avoids, built once: no tuple per call, and every call on a
+# pattern passes the same object.
+_AVOID = {name: (spec,) for name, spec in LENGTH_3.items()}
+_ANCHORED_3412 = (VALUE_ANCHORED_3412, POSITION_ANCHORED_3412)
 
 REFINEMENTS: dict[str, Callable[[Perm], int]] = {
     "descents": descent_count,
@@ -256,9 +254,9 @@ def _words(
             stream = filter(partial(is_in_class, cls=symmetry), stream)
     elif symmetry is not None:
         stream = generate_symmetric(n, symmetry)
-    elif _AVOID_321[0] in avoid:
+    elif LENGTH_3["321"] in avoid:
         stream = generate_321_avoiding(n)
-        avoid = tuple(spec for spec in avoid if spec != _AVOID_321[0])
+        avoid = tuple(spec for spec in avoid if spec != LENGTH_3["321"])
     else:
         # The anchor-free specs with a kernel drive the parents' skip. An
         # anchored spec may pin a letter to the maximum or the last position,
@@ -450,7 +448,8 @@ def oracle_values(oracle: str, order: int, refined: bool = False) -> Callable[..
 
     A univariate catalog series or a closed-form family gives value(n);
     a bivariate series gives value(n, k) and needs refined=True. Raises
-    OracleDomainError for an unknown name or a refinement mismatch.
+    series.OutOfDomain for an unknown name or a refinement mismatch, as a
+    closed form does at a size outside its domain.
     """
     if oracle in series.CATALOG:
         expansion = series.catalog(oracle, order)
@@ -459,9 +458,9 @@ def oracle_values(oracle: str, order: int, refined: bool = False) -> Callable[..
     elif oracle in series.CLOSED_FORMS:
         bivariate, value = False, lambda n: series.closed_form(oracle, n)
     else:
-        raise OracleDomainError(f"unknown oracle {oracle!r}")
+        raise series.OutOfDomain(f"unknown oracle {oracle!r}")
     if bivariate != refined:
-        raise OracleDomainError(f"{oracle} does not fit a {'' if refined else 'un'}refined table")
+        raise series.OutOfDomain(f"{oracle} does not fit a {'' if refined else 'un'}refined table")
     return value
 
 
@@ -487,13 +486,10 @@ def verify(table: CountTable, oracle: str) -> VerificationReport:
             for n in sizes
             for k in range(n + 1)
         ))
-    try:
-        return VerificationReport(tuple(
-            VerificationPair(f"{oracle}[{row.n}]", row.n, row.count, expected(row.n))
-            for row in table.rows
-        ))
-    except series.OutOfDomain as exc:
-        raise OracleDomainError(str(exc)) from None
+    return VerificationReport(tuple(
+        VerificationPair(f"{oracle}[{row.n}]", row.n, row.count, expected(row.n))
+        for row in table.rows
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -533,9 +529,9 @@ def profile(n: int, caps: Caps = DEFAULT_CAPS) -> ProfilePair:
         tally = Counter(map(lambda p: (cycle_count(p), stat(p)), words))
         return StatProfile(n=n, descriptor=descriptor, counts=tuple(sorted(tally.items())))
 
-    left = side(_AVOID_132, lambda p: descent_count(p) + 1,
+    left = side(_AVOID["132"], lambda p: descent_count(p) + 1,
                 "shallow 132-avoiding: (cycles, descents+1)")
-    right = side(_AVOID_321, REFINEMENTS["lrmax"],
+    right = side(_AVOID["321"], REFINEMENTS["lrmax"],
                  "shallow 321-avoiding: (cycles, left-to-right maxima)")
     return ProfilePair(left=left, right=right, consistent=left.counts == right.counts)
 
@@ -553,11 +549,10 @@ def search_mesh_counterexample(
     confirm itself.
     """
     caps.check(Method.BRUTE_FORCE, "n_max", n_max)
-    both = (VALUE_ANCHORED_3412, POSITION_ANCHORED_3412)
     for n in range(1, n_max + 1):
         for p in all_perms(n):
-            if not is_shallow(p) and avoids(p, both):
-                occurs = any(find_occurrence(p, s) is not None for s in both)
+            if not is_shallow(p) and avoids(p, _ANCHORED_3412):
+                occurs = any(find_occurrence(p, s) is not None for s in _ANCHORED_3412)
                 if occurs or certify_shallow(p).verdict:
                     raise RuntimeError(f"witness self-check failed for {p}")
                 return p

@@ -9,6 +9,10 @@ of size 0.
 The canonical text form is comma-separated values without whitespace,
 ``"4,2,1,6,3,5"``. A contiguous digit string such as ``"421635"`` is
 accepted on input when every value is a single digit.
+
+Each of the three involutive symmetries is named by the SymmetryClass of
+the words it fixes: apply_symmetry applies it, is_in_class tests for a
+fixed point.
 """
 from __future__ import annotations
 
@@ -222,32 +226,26 @@ def reverse_complement_inverse(p: Perm) -> Perm:
     return inverse(reverse_complement(p))
 
 
-class SymmetryKind(Enum):
-    INVERSE = "inverse"
-    REVERSE_COMPLEMENT = "reverse_complement"
-    REVERSE_COMPLEMENT_INVERSE = "reverse_complement_inverse"
-
-
 class SymmetryClass(Enum):
     INVOLUTION = "involution"
     CENTROSYMMETRIC = "centrosymmetric"
     PERSYMMETRIC = "persymmetric"
 
 
-_SYMMETRY_MAP = {
-    SymmetryKind.INVERSE: inverse,
-    SymmetryKind.REVERSE_COMPLEMENT: reverse_complement,
-    SymmetryKind.REVERSE_COMPLEMENT_INVERSE: reverse_complement_inverse,
-}
-
 _INVOLUTION = SymmetryClass.INVOLUTION
 _CENTROSYMMETRIC = SymmetryClass.CENTROSYMMETRIC
 _PERSYMMETRIC = SymmetryClass.PERSYMMETRIC
 
+_SYMMETRY_MAP = {
+    _INVOLUTION: inverse,
+    _CENTROSYMMETRIC: reverse_complement,
+    _PERSYMMETRIC: reverse_complement_inverse,
+}
 
-def apply_symmetry(p: Perm, kind: SymmetryKind) -> Perm:
-    """Apply one of the three involutive symmetries."""
-    return _SYMMETRY_MAP[kind](p)
+
+def apply_symmetry(p: Perm, cls: SymmetryClass) -> Perm:
+    """Apply the symmetry whose fixed points make up the class."""
+    return _SYMMETRY_MAP[cls](p)
 
 
 def is_in_class(p: Perm, cls: SymmetryClass) -> bool:
@@ -258,7 +256,7 @@ def is_in_class(p: Perm, cls: SymmetryClass) -> bool:
     breaks it, with no image built: in 0-based slots, an involution has
     p[p[i] - 1] = i + 1, a centrosymmetric word p[i] + p[n - 1 - i] = n + 1,
     and a persymmetric word p[n - p[i]] = n - i. The definition,
-    ``p == apply_symmetry(p, kind)``, is the test oracle.
+    ``p == apply_symmetry(p, cls)``, is the test oracle.
 
     >>> [is_in_class((2, 3, 4, 5, 1), cls) for cls in SymmetryClass]
     [False, False, True]

@@ -44,7 +44,8 @@ class NegativeDegreeResidue(ValueError):
 
 
 class OutOfDomain(ValueError):
-    """A closed form was evaluated outside its stated domain."""
+    """An oracle does not cover what was asked of it: a closed form outside
+    its stated domain, an unknown oracle, or one that does not fit a table."""
 
 
 @dataclass(frozen=True)
@@ -392,14 +393,13 @@ def catalog(name: str, order: int = 12) -> Union[RationalSeries, BivariateSeries
     """
     Expand a named catalog entry to the requested truncation order.
 
-    Raises KeyError for unknown names and OrderExceeded beyond ORDER_CAP.
-    Expansions are immutable and memoised by the call's arguments; a call
-    that raises is not cached, so it raises again.
+    Raises KeyError for unknown names, OrderExceeded beyond ORDER_CAP and,
+    from the division, ValueError for a negative order. Expansions are
+    immutable and memoised by the call's arguments; a call that raises is
+    not cached, so it raises again.
     """
     if name not in CATALOG:
         raise KeyError(f"unknown catalog name {name!r}; see catalog_names()")
-    if order < 0:
-        raise ValueError("order must be nonnegative")
     if order > ORDER_CAP:
         raise OrderExceeded(f"order {order} beyond the configured cap {ORDER_CAP}")
     return CATALOG[name].build(order)
@@ -413,7 +413,8 @@ def _grid(n: int) -> int:
     return n * n // 4 + 1
 
 
-_CLOSED_FORM_FUNCS: dict[str, tuple[int, Callable[[int], int]]] = {
+# name -> (least size the form is stated for, formula)
+CLOSED_FORMS: dict[str, tuple[int, Callable[[int], int]]] = {
     "132_involutions": (1, lambda n: fibonacci(n + 1)),
     "132_centrosymmetric": (1, lambda n: (n + 2) // 2),
     "231_involutions": (1, lambda n: 2 ** (n - 1)),
@@ -426,8 +427,6 @@ _CLOSED_FORM_FUNCS: dict[str, tuple[int, Callable[[int], int]]] = {
     "321_persymmetric": (1, lambda n: fibonacci(n + 1)),
 }
 
-CLOSED_FORMS = tuple(_CLOSED_FORM_FUNCS)
-
 
 def closed_form(family: str, n: int) -> int:
     """
@@ -438,9 +437,9 @@ def closed_form(family: str, n: int) -> int:
     >>> closed_form("231_leading_pair", 5)
     4
     """
-    if family not in _CLOSED_FORM_FUNCS:
+    if family not in CLOSED_FORMS:
         raise KeyError(f"unknown closed form {family!r}; see CLOSED_FORMS")
-    min_n, func = _CLOSED_FORM_FUNCS[family]
+    min_n, func = CLOSED_FORMS[family]
     if n < min_n:
         raise OutOfDomain(f"{family} is stated for n >= {min_n}, got {n}")
     return func(n)

@@ -18,20 +18,16 @@ from typing import Callable, Iterable, Optional, Sequence
 
 from . import series
 from .enumeration import (
-    DEFAULT_CAPS, Caps, CountQuery, Method, VerificationPair, VerificationReport, _words,
-    all_perms, brute_shallow_words, count, descent_table, oracle_values, profile,
+    DEFAULT_CAPS, Caps, CountQuery, Method, VerificationPair, VerificationReport, _ANCHORED_3412,
+    _AVOID, _words, all_perms, brute_shallow_words, count, descent_table, oracle_values, profile,
     search_mesh_counterexample, verify,
 )
-from .patterns import (
-    LENGTH_3, POSITION_ANCHORED_3412, VALUE_ANCHORED_3412, PatternSpec, avoids, classical,
-)
+from .patterns import LENGTH_3, PatternSpec, avoids, classical
 from .perms import (
-    Perm, SymmetryClass, SymmetryKind, apply_symmetry, decreasing, descent_count, direct_sum,
+    Perm, SymmetryClass, apply_symmetry, decreasing, descent_count, direct_sum,
     format_permutation, identity, inverse, skew_sum,
 )
 from .shallow import achieves_upper_bound, certify_shallow, generate_shallow, is_shallow, wrap_n1
-
-PATTERNS = LENGTH_3  # the shared spec of each length-3 pattern, by name
 
 _TOTAL_ORACLES = (
     ("132", "FibOdd"),
@@ -57,11 +53,7 @@ _SYMMETRY_ORACLES = (
     ("321", SymmetryClass.PERSYMMETRIC, "321_persymmetric"),
 )
 
-# Spec tuples for avoids, built once: no tuple per call, and every call on a
-# pattern passes the same object.
-_AVOID = {name: (spec,) for name, spec in PATTERNS.items()}
 _AVOID_3412 = (classical((3, 4, 1, 2)),)
-_AVOID_ANCHORED_3412 = (VALUE_ANCHORED_3412, POSITION_ANCHORED_3412)
 
 Row = tuple[str, Callable[[int], int]]  # a label stem and the expected value at n
 
@@ -179,7 +171,7 @@ def check_descents(max_n: Optional[int], caps: Caps) -> list[VerificationPair]:
     n_top = _top(Method.CONSTRUCTIVE, 9, max_n, caps)
     g_top = _top(Method.CONSTRUCTIVE, 10, max_n, caps)
     tables = {
-        name: descent_table(g_top if name == "321" else n_top, PATTERNS[name], caps)
+        name: descent_table(g_top if name == "321" else n_top, LENGTH_3[name], caps)
         for name in ("132", "321", "231")
     }
     pairs = [
@@ -230,7 +222,7 @@ check_decider_equivalence = _per_size(
 
 check_symmetry_closure = _per_size(
     Method.CONSTRUCTIVE, _query(), 7, "symmetry closure violations ",
-    lambda p: sum(not is_shallow(apply_symmetry(p, kind)) for kind in SymmetryKind))
+    lambda p: sum(not is_shallow(apply_symmetry(p, cls)) for cls in SymmetryClass))
 
 
 @partial(Check, Method.CONSTRUCTIVE)
@@ -321,7 +313,7 @@ check_leading_pair_231 = _per_size(
 
 check_mesh_necessary = _per_size(
     Method.CONSTRUCTIVE, _query(), 8, "shallow anchored-3412 violations ",
-    lambda p: not avoids(p, _AVOID_ANCHORED_3412))
+    lambda p: not avoids(p, _ANCHORED_3412))
 
 
 @partial(Check, Method.BRUTE_FORCE)

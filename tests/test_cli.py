@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import io
 import json
@@ -8,10 +9,13 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from shallowperm import cli, enumeration, perms, suites
+from shallowperm import cli, enumeration, perms, series, suites
 from shallowperm.cli import main
 from shallowperm.enumeration import MethodDisagreement, VerificationPair
+from shallowperm.patterns import LENGTH_3
 from words import grown
 
 
@@ -424,3 +428,57 @@ class TestClosedPipe:
         finally:
             os.close(write_end)
         assert (done.returncode, done.stderr) == (1, b"")
+
+
+def _flag(flag, values):
+    """The flag and one of the values, or nothing."""
+    return st.one_of(st.just([]), values.map(lambda v: [flag, v]))
+
+
+def _argv(command, *parts):
+    return st.tuples(*parts).map(lambda drawn: [command, *(a for part in drawn for a in part)])
+
+
+# Sizes in the caps stop at 7, where every query answers in well under a
+# second; the others pass every cap, are negative or reversed, or do not parse.
+_SIZE = st.one_of(st.integers(0, 7).map(str), st.sampled_from(["13", "40", "-1", "x", ""]))
+_RANGE = st.one_of(
+    _SIZE,
+    st.tuples(st.integers(-2, 7), st.integers(-2, 7)).map(lambda r: f"{r[0]}..{r[1]}"),
+    st.sampled_from(["1..40", "1..", "..5", "1...3"]),
+)
+_PATTERN = st.sampled_from([*LENGTH_3, "3n12", "u3412", "1,3,2", "3412", "21", "1", "", "x",
+                            "1,1", "0,1", "-1", "12a", "1234567890"])
+_PERMUTATION = st.one_of(
+    st.integers(0, 12).flatmap(lambda n: st.permutations(range(1, n + 1))).map(
+        perms.format_permutation),
+    st.sampled_from(["", " ", "x", "1,1", "0,1", "2,+1", "1_0,9", "-1,2", "1234567890", "\u0661"]),
+)
+_ORDER = st.sampled_from(["-1", "0", "7", "64", "65", "x", ""])
+_NAME = st.sampled_from([*series.CATALOG, "T999", "", "fibodd", "321_involutions"])
+
+_ARGV = st.one_of(
+    _argv("count", _flag("--n", _RANGE),
+          st.lists(_PATTERN, max_size=2).map(lambda ps: [a for p in ps for a in ("--avoid", p)]),
+          _flag("--symmetry", st.sampled_from(["inv", "centro", "persym", "sym"])),
+          _flag("--by", st.sampled_from(["descents", "cycles", "lrmax", "size"])),
+          _flag("--method", st.sampled_from(["brute", "constructive", "both", "psychic"]))),
+    # Without --max-n a suite runs at its default sizes, which take minutes.
+    _argv("verify", _flag("--suite", st.sampled_from([*suites.SUITES, "none"])),
+          _SIZE.map(lambda v: ["--max-n", v])),
+    _argv("certify", _PERMUTATION.map(lambda text: [text])),
+    _argv("gf", _flag("--name", _NAME), _flag("--order", _ORDER)),
+    _argv("profile", _flag("--n", _SIZE)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_ARGV, st.sampled_from(["json", "csv", "md"]))
+def test_argv_fuzz_exits_0_1_or_2(argv, fmt):
+    # Malformed, negative, reversed and over-cap arguments are refused with
+    # exit 2 or 1, never with a traceback.
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main([*argv, "--format", fmt])
+    assert code in (0, 1, 2), (argv, code)
+    assert "Traceback" not in err.getvalue(), argv

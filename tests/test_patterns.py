@@ -76,9 +76,10 @@ class TestSpecValidation:
 
     def test_one_spec_per_length_3_pattern(self):
         assert sorted(LENGTH_3) == ["123", "132", "213", "231", "312", "321"]
-        assert suites.PATTERNS is LENGTH_3
-        assert enumeration._AVOID_132[0] is LENGTH_3["132"]
-        assert enumeration._AVOID_321[0] is LENGTH_3["321"]
+        assert suites._AVOID is enumeration._AVOID
+        for name, spec in LENGTH_3.items():
+            (shared,) = enumeration._AVOID[name]
+            assert shared is spec
         assert all(spec._kernel is not None for spec in LENGTH_3.values())
 
 

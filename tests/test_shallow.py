@@ -12,7 +12,6 @@ from shallowperm.enumeration import Method
 from shallowperm.patterns import avoids, classical, find_occurrence
 from shallowperm.perms import (
     SymmetryClass,
-    SymmetryKind,
     apply_symmetry,
     decreasing,
     direct_sum,
@@ -40,17 +39,8 @@ from shallowperm.shallow import (
     replay_certificate,
     wrap_n1,
 )
-from words import all_perms, flag_slots, grown
+from words import P321, all_perms, flag_slots, grown
 
-
-P321 = classical((3, 2, 1))
-
-# The symmetry whose fixed points make up each class.
-CLASS_KIND = {
-    SymmetryClass.INVOLUTION: SymmetryKind.INVERSE,
-    SymmetryClass.CENTROSYMMETRIC: SymmetryKind.REVERSE_COMPLEMENT,
-    SymmetryClass.PERSYMMETRIC: SymmetryKind.REVERSE_COMPLEMENT_INVERSE,
-}
 
 # Each class walk, and the fast test of its class that the counts filter by.
 CLASS_WALKS = {
@@ -151,18 +141,18 @@ class TestOperators:
 
     def test_l_is_r_conjugated(self):
         # s∘R∘s = L for s = reverse_complement and reverse_complement_inverse.
-        kinds = (SymmetryKind.REVERSE_COMPLEMENT, SymmetryKind.REVERSE_COMPLEMENT_INVERSE)
+        classes = (SymmetryClass.CENTROSYMMETRIC, SymmetryClass.PERSYMMETRIC)
         for n in range(2, 10):
             for p in all_perms(n):
                 left = l_operator(p)
-                for kind in kinds:
-                    assert apply_symmetry(r_operator(apply_symmetry(p, kind)), kind) == left
+                for cls in classes:
+                    assert apply_symmetry(r_operator(apply_symmetry(p, cls)), cls) == left
 
     def test_r_commutes_with_inverse(self):
         for n in range(2, 10):
             for p in all_perms(n):
-                inv = apply_symmetry(p, SymmetryKind.INVERSE)
-                assert apply_symmetry(r_operator(inv), SymmetryKind.INVERSE) == r_operator(p)
+                inv = apply_symmetry(p, SymmetryClass.INVOLUTION)
+                assert apply_symmetry(r_operator(inv), SymmetryClass.INVOLUTION) == r_operator(p)
 
     def test_l_and_r_commute(self):
         for n in range(3, 10):
@@ -534,8 +524,7 @@ class TestClassWalks:
         # fixes, and 321 is searched for by find_occurrence.
         definitions = {
             "321": lambda p: find_occurrence(p, P321) is None,
-            **{cls.value: lambda p, kind=kind: apply_symmetry(p, kind) == p
-               for cls, kind in CLASS_KIND.items()},
+            **{cls.value: lambda p, cls=cls: apply_symmetry(p, cls) == p for cls in SymmetryClass},
         }
         for n in range(10):
             shallow_words = [p for p in all_perms(n) if is_shallow(p)]

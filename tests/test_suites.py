@@ -9,6 +9,7 @@ import pytest
 
 from shallowperm import enumeration, shallow, suites
 from shallowperm.enumeration import Caps, Method, SizeCapExceeded
+from shallowperm.patterns import LENGTH_3
 from shallowperm.shallow import generate_shallow
 from shallowperm.suites import (
     SUITES,
@@ -193,7 +194,7 @@ def test_descents_suite_builds_each_table_once(monkeypatch):
     build = suites.descent_table
 
     def recording(n_max, avoid, caps):
-        calls.append((n_max, next(name for name, spec in suites.PATTERNS.items() if spec is avoid)))
+        calls.append((n_max, next(name for name, spec in LENGTH_3.items() if spec is avoid)))
         return build(n_max, avoid, caps)
 
     monkeypatch.setattr(suites, "descent_table", recording)

@@ -1,9 +1,19 @@
-"""Word helpers shared by the test modules: every word of S_n, and shallow
-words grown by random right extensions."""
+"""Word helpers shared by the test modules: every word of S_n, shallow
+words grown by random right extensions, and the classical specs the tests
+avoid."""
 import itertools
 
+from shallowperm.patterns import classical
 from shallowperm.perms import lr_max_flags, rl_min_flags
 from shallowperm.shallow import extend_right
+
+# Built here rather than read from patterns.LENGTH_3: equal to the shared
+# specs but not the same objects, so the tests cover specs a caller builds.
+P132 = classical((1, 3, 2))
+P231 = classical((2, 3, 1))
+P321 = classical((3, 2, 1))
+P123 = classical((1, 2, 3))
+P3412 = classical((3, 4, 1, 2))
 
 
 def all_perms(n):
